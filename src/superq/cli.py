@@ -380,10 +380,14 @@ def main(argv=None) -> int:
     try:
         result = args.func(args)
     except (ValueError, TypeError) as exc:
-        print(json.dumps({"error": {"kind": "domain", "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
-    return result or 0
+        message = str(exc)
+    except (RecursionError, MemoryError) as exc:
+        message = f"input too large ({type(exc).__name__})"
+    else:
+        return result or 0
+    print(json.dumps({"error": {"kind": "domain", "message": message}}),
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

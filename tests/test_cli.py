@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superq
 from superq.cli import main
 from superq.gamma import GammaElement
 from superq.partitions import StrictPartition
@@ -167,6 +172,20 @@ def test_domain_error_exits_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "prob", "4", "5")
     assert code == 1
+
+
+def test_too_large_input_is_a_domain_error():
+    # g recurses once per cell, so a long row exhausts the stack
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superq.cli", "g", "1500"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["kind"] == "domain"
 
 
 def test_usage_error_exits_2(capsys):

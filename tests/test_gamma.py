@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
+from pfaffian_oracle import oracle_q
 from superq.gamma import GammaElement, scalar_product
 from superq.partitions import (
     OddPartition,
@@ -11,7 +12,6 @@ from superq.partitions import (
     z,
 )
 from superq.rational import rat
-from superq.schurq import q
 
 p = GammaElement.p
 
@@ -118,8 +118,8 @@ def test_parseval(f, g):
         total = sum(
             (
                 rat(1, 2**lam.length)
-                * scalar_product(f, q(lam))
-                * scalar_product(g, q(lam))
+                * scalar_product(f, oracle_q(lam))
+                * scalar_product(g, oracle_q(lam))
                 for lam in enumerate_strict(n)
             ),
             start=rat(0),

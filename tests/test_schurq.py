@@ -1,5 +1,9 @@
-import pytest
+from functools import cache
 
+import pytest
+from hypothesis import given, strategies as st
+
+from pfaffian_oracle import oracle_q, oracle_table
 from superq.gamma import GammaElement, scalar_product
 from superq.partitions import (
     OddPartition,
@@ -13,6 +17,7 @@ from superq.partitions import (
 )
 from superq.rational import rat, is_integral
 from superq.schurq import (
+    _bars,
     character,
     character_table,
     character_via_scalar,
@@ -59,7 +64,7 @@ def test_duality():
             plam = p_fn(lam)
             for mu in enumerate_strict(n):
                 want = 1 if lam == mu else 0
-                assert scalar_product(plam, q(mu)) == want
+                assert scalar_product(plam, oracle_q(mu)) == want
 
 
 def test_character_orthogonality():
@@ -114,7 +119,41 @@ def test_character_coefficient_route_equals_scalar_route():
     for k in range(9):
         for lam in enumerate_strict(k):
             for rho in enumerate_odd(k):
-                assert character(lam, rho) == character_via_scalar(lam, rho)
+                x = scalar_product(p(rho), oracle_q(lam))
+                assert character(lam, rho) == x
+                assert character_via_scalar(lam, rho) == x
+
+
+def test_tables_equal_pfaffian_oracle():
+    for k in range(21):
+        table = character_table(k)
+        for (lam, rho), x in oracle_table(k).items():
+            assert table.value(lam, rho) == x
+
+
+def test_q_equals_pfaffian_oracle():
+    for n in range(15):
+        for lam in enumerate_strict(n):
+            assert q(lam) == oracle_q(lam)
+
+
+@cache
+def _x_smallest_part_first(lam_parts, rho_parts):
+    if not rho_parts:
+        return int(not lam_parts)
+    return sum(
+        w * _x_smallest_part_first(mu, rho_parts[:-1])
+        for mu, w in _bars(lam_parts, rho_parts[-1])
+    )
+
+
+@given(st.data())
+def test_bar_removal_order_free(data):
+    # the table peels the largest part of rho; peeling the smallest agrees
+    k = data.draw(st.integers(0, 20))
+    lam = data.draw(st.sampled_from(enumerate_strict(k)))
+    rho = data.draw(st.sampled_from(enumerate_odd(k)))
+    assert _x_smallest_part_first(lam.parts, rho.parts) == character(lam, rho)
 
 
 def test_pieri_consequence():
