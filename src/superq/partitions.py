@@ -11,6 +11,7 @@ index families cannot be confused as dictionary keys.
 from __future__ import annotations
 
 from functools import cache
+from math import factorial
 from typing import Iterable, NamedTuple
 
 
@@ -292,8 +293,21 @@ def g_skew(lam: StrictPartition, mu: StrictPartition) -> int:
 
 
 def g(lam: StrictPartition) -> int:
-    """Number of standard tableaux of shifted shape lam; g(empty) = 1."""
-    return _g_skew(lam.parts, ())
+    """Number of standard tableaux of shifted shape lam; g(empty) = 1.
+
+    Computed by the shifted hook formula (Schur 1911; Thrall 1952):
+    g(lam) = n! prod_{i<j} (lam_i - lam_j) / (prod_i lam_i! prod_{i<j} (lam_i + lam_j)),
+    in integers; the recursive ``g_skew(lam, empty)`` is its test oracle.
+    """
+    parts = lam.parts
+    numer = factorial(lam.size)
+    denom = 1
+    for i, a in enumerate(parts):
+        denom *= factorial(a)
+        for b in parts[i + 1:]:
+            numer *= a - b
+            denom *= a + b
+    return numer // denom
 
 
 # --- numeric helpers ---------------------------------------------------------

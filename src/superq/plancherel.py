@@ -4,8 +4,16 @@ averages as polynomials in n.
 ``PolynomialInN`` stores a polynomial in the symbol n in the falling-
 factorial basis n^(j) = n(n-1)...(n-j+1) with exact rational coefficients;
 monomial and binomial C(n, j) renderings are exact, invertible views.
-Symbolic averages come from the frak-p expansion: E_n picks out the
-coefficients of frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
+
+Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
+E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
+brute-force values at n = 0..d determine them, and Newton forward
+differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
+One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
+
+The frak-p expansion is the independent route (``*_frak``), kept as the
+oracle for tests and ``superq verify``: E_n picks out the coefficients of
+frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
 (n + |mu| - |rho-tilde|)^(m_1(rho)) * frak_p(rho-tilde)(mu).
 """
 
@@ -280,7 +288,51 @@ def _require_gamma(f):
         )
 
 
+def _interpolate(values: list) -> PolynomialInN:
+    """The polynomial of degree <= d through values E(0), ..., E(d + 1).
+
+    c_j = Delta^j E(0) / j! for j <= d; Delta^{d+1} E(0) must be zero,
+    otherwise the values are not those of a degree-d polynomial.
+    """
+    d = len(values) - 2
+    diffs = values
+    coeffs = {}
+    for j in range(d + 1):
+        coeffs[j] = diffs[0] / factorial(j)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    if diffs[0]:
+        raise ArithmeticError(
+            f"values are not a polynomial of degree <= {d}: "
+            f"Delta^{d + 1} E(0) = {rat_str(diffs[0])}"
+        )
+    return PolynomialInN(coeffs)
+
+
 def average_symbolic(f: GammaElement) -> PolynomialInN:
+    """E_n[f] as an exact polynomial, interpolated from brute force.
+
+    With d = deg f, Newton forward differences of average_bruteforce at
+    n = 0..d give the falling-factorial coefficients; the value at n = d + 1
+    checks the polynomiality theorem.  ``average_symbolic_frak`` is the
+    independent route.
+    """
+    _require_gamma(f)
+    d = max(f.degree(), 0)
+    return _interpolate([average_bruteforce(f, n) for n in range(d + 2)])
+
+
+def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
+    """E_{mu,n}[f] as an exact polynomial in n, interpolated from brute force.
+
+    As ``average_symbolic``, from average_mu_bruteforce at n = 0..d + 1;
+    ``average_mu_symbolic_frak`` is the independent route.
+    """
+    _require_gamma(f)
+    d = max(f.degree(), 0)
+    return _interpolate([average_mu_bruteforce(f, mu, n) for n in range(d + 2)])
+
+
+def average_symbolic_frak(f: GammaElement) -> PolynomialInN:
     """E_n[f] as an exact polynomial: the (1^r) frak-p coefficients of f."""
     _require_gamma(f)
     expansion = expand_gamma_in_frak(f)
@@ -291,8 +343,8 @@ def average_symbolic(f: GammaElement) -> PolynomialInN:
     return PolynomialInN(coeffs)
 
 
-def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
-    """E_{mu,n}[f] as an exact polynomial in n."""
+def average_mu_symbolic_frak(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
+    """E_{mu,n}[f] as an exact polynomial in n, through the frak-p expansion."""
     _require_gamma(f)
     expansion = expand_gamma_in_frak(f)
     m = mu.size
@@ -314,11 +366,11 @@ def product_average_closed_form(rho: OddPartition) -> PolynomialInN:
 
 
 def product_average_check(rho: OddPartition, sigma: OddPartition) -> PolynomialInN:
-    """E_n[frak_p(rho) frak_p(sigma)] computed through the symbolic route.
+    """E_n[frak_p(rho) frak_p(sigma)] computed through the frak-p route.
 
     Contract: equals product_average_closed_form(rho) when rho == sigma and the zero
     polynomial otherwise.  Both arguments must have no part equal to 1.
     """
     if rho.multiplicity(1) or sigma.multiplicity(1):
         raise ValueError("product averages require m_1(rho) = m_1(sigma) = 0")
-    return average_symbolic(frak_p(rho) * frak_p(sigma))
+    return average_symbolic_frak(frak_p(rho) * frak_p(sigma))

@@ -27,8 +27,8 @@ from .plancherel import (
     PolynomialInN,
     average_bruteforce,
     average_mu_bruteforce,
-    average_mu_symbolic,
-    average_symbolic,
+    average_mu_symbolic_frak,
+    average_symbolic_frak,
     prob,
     product_average_check,
     product_average_closed_form,
@@ -140,7 +140,7 @@ def _closed_form_average_cases() -> list[tuple[str, GammaElement, PolynomialInN]
 
 def check_polynomial_averages() -> CheckResult:
     for name, f, closed in _closed_form_average_cases():
-        symbolic = average_symbolic(f)
+        symbolic = average_symbolic_frak(f)
         if symbolic != closed:
             return CheckResult(
                 "3", "", False, f"{name}: symbolic {symbolic} != paper {closed}"
@@ -220,7 +220,7 @@ def check_deformed_average_constants() -> CheckResult:
                         False,
                         f"E_mu,n[fp_{rho}] at mu={mu}, n={n}: {brute} != {expected}",
                     )
-            symbolic = average_mu_symbolic(element, mu)
+            symbolic = average_mu_symbolic_frak(element, mu)
             if symbolic != PolynomialInN.constant(expected):
                 return CheckResult(
                     "5", "", False, f"symbolic E_mu,n[fp_{rho}] not constant at mu={mu}"
@@ -262,7 +262,7 @@ def check_han_xiong_identity() -> CheckResult:
             expected_poly = PolynomialInN.from_monomial(
                 {2: rat(1, 2), 1: rat(2 * m - 1, 2)}
             )  # n(n-1)/2 + n|mu|
-            if average_mu_symbolic(shifted, mu) != expected_poly:
+            if average_mu_symbolic_frak(shifted, mu) != expected_poly:
                 return CheckResult("7", "", False, f"symbolic form differs at mu={mu}")
             for n in range(8):
                 want = rat(n * (n - 1), 2) + n * m
@@ -326,7 +326,7 @@ def check_discrepancy_guard() -> CheckResult:
     if average_bruteforce(f, 2) != 1 or average_bruteforce(f, 3) != 11:
         return CheckResult("10", "", False, "brute-force anchor values differ")
     sec52 = PolynomialInN.from_binomial({4: 6, 3: 8, 2: 1})
-    if average_symbolic(f) != sec52:
+    if average_symbolic_frak(f) != sec52:
         return CheckResult("10", "", False, "symbolic form differs from section 5.2")
     sec14 = PolynomialInN(
         {4: rat(1, 12), 3: rat(4, 12), 2: rat(-8, 12), 1: rat(-2, 12)}

@@ -10,6 +10,8 @@ import superq
 from superq.cli import main
 from superq.gamma import GammaElement
 from superq.partitions import StrictPartition
+from superq.plancherel import PolynomialInN, average_bruteforce
+from superq.rational import rat
 from superq.schurq import q
 
 
@@ -62,6 +64,16 @@ def test_avg_symbolic_golden_bytes(capsys):
         '"binomial": {"2": "6", "1": "1"}}'
     )
     assert out.strip() == expected
+
+
+def test_avg_symbolic_large_degree(capsys):
+    # degree 21 interpolates through n = 0..22; n = 23 lies beyond the nodes
+    code, out, _ = run(capsys, "avg", "--f", "p[21]", "--symbolic")
+    assert code == 0
+    poly = PolynomialInN(
+        {int(j): rat(c) for j, c in json.loads(out)["falling"].items()}
+    )
+    assert poly.evaluate(23) == average_bruteforce(GammaElement.p(21), 23)
 
 
 def test_avg_at_n(capsys):
@@ -175,12 +187,12 @@ def test_domain_error_exits_1(capsys):
 
 
 def test_too_large_input_is_a_domain_error():
-    # g recurses once per cell, so a long row exhausts the stack
+    # g_skew recurses once per cell, so a long row exhausts the stack
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "superq.cli", "g", "1500"],
+        [sys.executable, "-m", "superq.cli", "gskew", "1500", "1"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1

@@ -221,9 +221,17 @@ def test_g_skew_matches_chain_enumeration():
                     assert g_skew(lam, mu) == count_chains(lam, mu)
 
 
+def test_g_equals_recursive_g_skew():
+    # the shifted hook formula against the corner-removal recursion
+    empty = StrictPartition(())
+    for n in range(26):
+        for lam in enumerate_strict(n):
+            assert g(lam) == g_skew(lam, empty)
+
+
 def test_squared_tableaux_identity():
     # sum over SP_n of 2^{n - l} g^2 = n!
-    for n in range(11):
+    for n in range(41):
         total = sum(
             2 ** (n - lam.length) * g(lam) ** 2 for lam in enumerate_strict(n)
         )

@@ -16,8 +16,11 @@ from superq.plancherel import (
     PolynomialInN,
     average_bruteforce,
     average_mu_bruteforce,
+    _interpolate,
     average_mu_symbolic,
+    average_mu_symbolic_frak,
     average_symbolic,
+    average_symbolic_frak,
     falling_shifted,
     prob,
     prob_mu,
@@ -166,6 +169,7 @@ def test_symbolic_equals_bruteforce_on_f_set():
     fs += [frak_p(rho) for k in range(6) for rho in enumerate_odd(k)]
     for f in fs:
         poly = average_symbolic(f)
+        assert poly == average_symbolic_frak(f)
         for n in range(7):
             assert poly.evaluate(n) == average_bruteforce(f, n)
 
@@ -176,8 +180,27 @@ def test_mu_symbolic_equals_bruteforce():
         for mu in enumerate_strict(m):
             for f in fs:
                 poly = average_mu_symbolic(f, mu)
+                assert poly == average_mu_symbolic_frak(f, mu)
                 for n in range(6):
                     assert poly.evaluate(n) == average_mu_bruteforce(f, mu, n)
+
+
+@given(strat.gamma_elements(max_degree=7))
+def test_interpolation_equals_frak_route(f):
+    assert average_symbolic(f) == average_symbolic_frak(f)
+
+
+@given(strat.gamma_elements(max_degree=7), strat.strict_partitions(max_size=4))
+def test_mu_interpolation_equals_frak_route(f, mu):
+    assert average_mu_symbolic(f, mu) == average_mu_symbolic_frak(f, mu)
+
+
+def test_interpolation_rejects_non_polynomial_values():
+    # E_n[p_2] at n = 0..3 (section 7.2) fits no quadratic: Delta^3 = -4/3
+    p2 = OrdinaryPSumExpr.p(2)
+    values = [average_bruteforce(p2, n) for n in range(4)]
+    with pytest.raises(ArithmeticError, match="-4/3"):
+        _interpolate(values)
 
 
 def test_mu_symbolic_with_empty_mu_matches_plain():
