@@ -43,54 +43,13 @@ def _emit_json(obj):
     print(json.dumps(obj, ensure_ascii=False))
 
 
-def _pretty_terms(element_json, symbol):
-    chunks = []
-    for record in element_json:
-        part = record["partition"]
-        coeff = record["coeff"]
-        name = f"{symbol}[{part}]" if part else "1"
-        if coeff.startswith("-"):
-            sign, mag = "-", coeff[1:]
-        else:
-            sign, mag = "+", coeff
-        body = name if (mag == "1" and part) else (f"{mag}·{name}" if part else mag)
-        if not chunks:
-            chunks.append(body if sign == "+" else f"-{body}")
-        else:
-            chunks.append(f"{sign} {body}")
-    print(" ".join(chunks) if chunks else "0")
-
-
 def _emit_element(args, element, symbol="p"):
-    obj = element.to_json_obj()
+    """JSON records, or with --format pretty one line of terms; a
+    polynomial in n takes the symbol "n^↓{}"."""
     if args.format == "pretty":
-        _pretty_terms(obj, symbol)
+        print(element.render(symbol, "·"))
     else:
-        _emit_json(obj)
-
-
-def _pretty_poly(poly):
-    falling = poly.falling_coeffs()
-    if not falling:
-        return "0"
-    chunks = []
-    for j in sorted(falling, reverse=True):
-        c = falling[j]
-        base = f"n^↓{j}" if j > 1 else ("n" if j == 1 else "")
-        mag = rat_str(abs(c))
-        body = base if (mag == "1" and base) else (f"{mag}·{base}" if base else mag)
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
-
-
-def _emit_poly(args, poly):
-    if args.format == "pretty":
-        print(_pretty_poly(poly))
-    else:
-        _emit_json(poly.to_json_obj())
+        _emit_json(element.to_json_obj())
 
 
 # --- subcommand handlers ---------------------------------------------------------
@@ -159,12 +118,7 @@ def cmd_pstar_eval(args):
 
 
 def cmd_frak_expand_p(args):
-    expansion = expand_p_in_frak(OddPartition.from_text(args.rho))
-    obj = expansion.to_json_obj()
-    if args.format == "pretty":
-        _pretty_terms(obj, "𝔭")
-    else:
-        _emit_json(obj)
+    _emit_element(args, expand_p_in_frak(OddPartition.from_text(args.rho)), "𝔭")
 
 
 def cmd_frak_eval(args):
@@ -184,7 +138,7 @@ def cmd_avg(args):
     if args.symbolic:
         poly = (average_symbolic(element) if mu is None
                 else average_mu_symbolic(element, mu))
-        _emit_poly(args, poly)
+        _emit_element(args, poly, "n^↓{}")
     else:
         value = (average_bruteforce(element, args.n) if mu is None
                  else average_mu_bruteforce(element, mu, args.n))
@@ -261,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superq",
         description="Exact computations with supersymmetric functions on "
                     "strict partitions.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=0, metavar="N",
-        help="reserved concurrency hint (0 = auto); results are identical "
-             "for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error("--threads must be nonnegative")
     try:
         result = args.func(args)
     except (ValueError, TypeError) as exc:

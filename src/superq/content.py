@@ -18,19 +18,18 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .gamma import GammaElement, render_terms
+from .gamma import GammaElement, SparseTerms, _power_sum_value, add_scaled
 from .partitions import (
     Cell,
     OrdinaryPartition,
     StrictPartition,
-    display_sort_key,
     inner_corners,
     outer_corners,
     shifted_cells,
 )
-from .rational import Rat, ZERO, ONE, rat, rat_str, parse_rat
+from .rational import Rat, ZERO, ONE, rat
 
 
 def c_hat(cell: Cell) -> Rat:
@@ -130,7 +129,7 @@ def hat_p(k: int) -> GammaElement:
     return acc * rat(1, 2**k * (2 * k + 1))
 
 
-class OrdinaryPSumExpr:
+class OrdinaryPSumExpr(SparseTerms):
     """An ordinary symmetric function in its power-sum expansion.
 
     Keys are ordinary partitions mu, so even power sums are allowed; the
@@ -139,78 +138,30 @@ class OrdinaryPSumExpr:
     evaluator used for the E_n[p_2] experiment, outside Gamma).
     """
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping | Iterable = ()):
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean = {}
-        for key, value in pairs:
-            value = rat(value)
-            if value:
-                if not isinstance(key, OrdinaryPartition):
-                    key = OrdinaryPartition(key)
-                clean[key] = value
-        self._coeffs = clean
+    __slots__ = ()
+    _key = OrdinaryPartition
 
     @classmethod
     def p(cls, k: int) -> "OrdinaryPSumExpr":
-        return cls({OrdinaryPartition((k,)): 1})
-
-    def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: display_sort_key(kv[0]))
+        return cls({(k,): 1})
 
     def evaluate_at(self, values) -> Rat:
         """Evaluate with the given finite multiset substituted for x_1, x_2, ..."""
-        values = list(values)
-        psums: dict[int, Rat] = {}
-        total = ZERO
-        for mu, c in self._coeffs.items():
-            v = c
-            for k in mu.parts:
-                pk = psums.get(k)
-                if pk is None:
-                    pk = sum((x**k for x in values), start=ZERO)
-                    psums[k] = pk
-                v = v * pk
-            total += v
-        return total
+        return _power_sum_value(self._coeffs, list(values))
 
     def evaluate(self, lam: StrictPartition) -> Rat:
-        return self.evaluate_at(rat(part) for part in lam.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, OrdinaryPSumExpr) and self._coeffs == other._coeffs
-
-    def __repr__(self):
-        return f"OrdinaryPSumExpr({self._coeffs!r})"
-
-    def __str__(self):
-        return render_terms(self.items(), "p")
-
-    def to_json_obj(self) -> list:
-        return [
-            {"partition": str(mu), "coeff": rat_str(c)} for mu, c in self.items()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "OrdinaryPSumExpr":
-        return cls(
-            {
-                OrdinaryPartition.from_text(rec["partition"]): parse_rat(rec["coeff"])
-                for rec in obj
-            }
-        )
+        return _power_sum_value(self._coeffs, lam.parts)
 
 
 def hat_F(F: OrdinaryPSumExpr) -> GammaElement:
     """The supersymmetric function agreeing with F evaluated at the c-hats."""
-    out = GammaElement.zero()
+    out: dict = {}
     for mu, c in F.items():
-        term = c * GammaElement.one()
+        term = GammaElement.one()
         for k in mu.parts:
             term = term * hat_p(k)
-        out = out + term
-    return out
+        add_scaled(out, term, c)
+    return GammaElement._wrap(out)
 
 
 def hat_F_eval_direct(F: OrdinaryPSumExpr, lam: StrictPartition) -> Rat:
@@ -240,10 +191,7 @@ def psi(k: int) -> GammaElement:
     """psi_k as an element of Gamma: 2 sum over odd s <= k of C(k,s) p_{2k-s}."""
     if k < 1:
         raise ValueError("k must be positive")
-    out = GammaElement.zero()
-    for s in range(1, k + 1, 2):
-        out = out + GammaElement.term((2 * k - s,), 2 * comb(k, s))
-    return out
+    return GammaElement({(2 * k - s,): 2 * comb(k, s) for s in range(1, k + 1, 2)})
 
 
 # --- truncated power series in u (exact, list index = power) --------------------

@@ -17,7 +17,7 @@ import itertools
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .gamma import GammaElement
+from .gamma import GammaElement, add_into, add_scaled
 from .partitions import (
     StrictPartition,
     falling,
@@ -65,22 +65,18 @@ def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
         weight = idx.sign
         for part, j in zip(lam.parts, js):
             weight *= stirling2(part, j)
-        new = acc.get(idx.partition, 0) + weight
-        if new:
-            acc[idx.partition] = new
-        else:
-            acc.pop(idx.partition, None)
+        add_into(acc, idx.partition, weight)
     return acc
 
 
 @cache
 def p_star(mu: StrictPartition) -> GammaElement:
     """P*_mu in the p-basis, by unitriangular inversion of the Stirling system."""
-    acc = p_fn(mu)
+    acc = dict(p_fn(mu)._coeffs)
     for nu, c in p_to_pstar_coeffs(mu).items():
         if nu != mu:
-            acc = acc - c * p_star(nu)
-    return acc
+            add_scaled(acc, p_star(nu), -c)
+    return GammaElement._wrap(acc)
 
 
 def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
@@ -93,19 +89,20 @@ def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
 
 def psi_iso(f: GammaElement) -> GammaElement:
     """The linear isomorphism sending each P_lambda to P*_lambda."""
-    out = GammaElement.zero()
+    out: dict = {}
     for lam, c in expand_in_P(f).items():
-        out = out + c * p_star(lam)
-    return out
+        add_scaled(out, p_star(lam), c)
+    return GammaElement._wrap(out)
 
 
 def psi_iso_inverse(f: GammaElement) -> GammaElement:
     """Inverse isomorphism, by iterated top-degree extraction."""
-    result = GammaElement.zero()
-    remainder = f
-    while not remainder.is_zero():
-        top = remainder.homogeneous_component(remainder.degree())
-        result = result + top
-        for lam, c in expand_in_P(top).items():
-            remainder = remainder - c * p_star(lam)
-    return result
+    result: dict = {}
+    remainder = dict(f._coeffs)
+    while remainder:
+        d = max(rho.size for rho in remainder)
+        top = {rho: c for rho, c in remainder.items() if rho.size == d}
+        result.update(top)
+        for lam, c in expand_in_P(GammaElement._wrap(top)).items():
+            add_scaled(remainder, p_star(lam), -c)
+    return GammaElement._wrap(result)

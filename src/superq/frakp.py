@@ -10,20 +10,18 @@ not a ``GammaElement`` so the two bases cannot be mixed up.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Mapping
 
 from .factorial import p_star, p_to_pstar_coeffs
-from .gamma import GammaElement, render_terms
+from .gamma import GammaElement, SparseTerms, add_into, add_scaled
 from .partitions import (
     OddPartition,
     StrictPartition,
-    display_sort_key,
     enumerate_odd,
     falling,
     g,
     z,
 )
-from .rational import Rat, ZERO, rat, rat_str, parse_rat
+from .rational import Rat, rat
 from .schurq import character_table
 
 
@@ -38,58 +36,11 @@ def union_ones(rho: OddPartition, k: int) -> OddPartition:
     return OddPartition(rho.parts + (1,) * k)
 
 
-class FrakExpansion:
+class FrakExpansion(SparseTerms):
     """Sparse coefficients of an element written in the frak-p basis."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping | Iterable = ()):
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean = {}
-        for key, value in pairs:
-            value = rat(value)
-            if value:
-                if not isinstance(key, OddPartition):
-                    key = OddPartition(key)
-                clean[key] = value
-        self._coeffs = clean
-
-    def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: display_sort_key(kv[0]))
-
-    def support(self) -> list[OddPartition]:
-        return [rho for rho, _ in self.items()]
-
-    def coefficient(self, rho) -> Rat:
-        if not isinstance(rho, OddPartition):
-            rho = OddPartition(rho)
-        return self._coeffs.get(rho, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, FrakExpansion) and self._coeffs == other._coeffs
-
-    def __repr__(self):
-        return f"FrakExpansion({self._coeffs!r})"
-
-    def __str__(self):
-        return render_terms(self.items(), "fp")
-
-    def to_json_obj(self) -> list:
-        return [
-            {"partition": str(rho), "coeff": rat_str(c)} for rho, c in self.items()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FrakExpansion":
-        return cls(
-            {
-                OddPartition.from_text(rec["partition"]): parse_rat(rec["coeff"])
-                for rec in obj
-            }
-        )
+    __slots__ = ()
+    _symbol = "fp"
 
 
 def deg1(expansion: FrakExpansion) -> int:
@@ -103,12 +54,12 @@ def deg1(expansion: FrakExpansion) -> int:
 def frak_p(rho: OddPartition) -> GammaElement:
     """frak_p(rho) = sum over |lambda| = |rho| of X^lambda_rho P*_lambda."""
     table = character_table(rho.size)
-    out = GammaElement.zero()
+    out: dict[OddPartition, Rat] = {}
     for lam in table.strict:
         x = table.value(lam, rho)
         if x:
-            out = out + x * p_star(lam)
-    return out
+            add_scaled(out, p_star(lam), x)
+    return GammaElement._wrap(out)
 
 
 def frak_p_eval(rho: OddPartition, lam: StrictPartition) -> Rat:
@@ -138,11 +89,7 @@ def expand_p_in_frak(rho: OddPartition) -> FrakExpansion:
         if not x:
             continue
         for mu, c in p_to_pstar_coeffs(lam).items():
-            new = pstar_coeffs.get(mu, ZERO) + x * c
-            if new:
-                pstar_coeffs[mu] = new
-            else:
-                pstar_coeffs.pop(mu, None)
+            add_into(pstar_coeffs, mu, x * c)
 
     # step 3: P*_mu = sum_sigma 2^{l(sigma)-l(mu)} z_sigma^{-1} X^mu_sigma fp_sigma
     out: dict[OddPartition, Rat] = {}
@@ -153,12 +100,8 @@ def expand_p_in_frak(rho: OddPartition) -> FrakExpansion:
             if not x:
                 continue
             weight = c * x * rat(2 ** sigma.length, z(sigma) * 2**mu.length)
-            new = out.get(sigma, ZERO) + weight
-            if new:
-                out[sigma] = new
-            else:
-                out.pop(sigma, None)
-    return FrakExpansion(out)
+            add_into(out, sigma, weight)
+    return FrakExpansion._wrap(out)
 
 
 def expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
@@ -168,18 +111,19 @@ def expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
     so the top p-coefficients are the top frak-p coefficients.
     """
     coeffs: dict[OddPartition, Rat] = {}
-    remainder = f
-    while not remainder.is_zero():
-        top = remainder.homogeneous_component(remainder.degree())
-        for rho, c in top.items():
+    remainder = dict(f._coeffs)
+    while remainder:
+        d = max(rho.size for rho in remainder)
+        top = [(rho, c) for rho, c in remainder.items() if rho.size == d]
+        for rho, c in top:
             coeffs[rho] = c
-            remainder = remainder - c * frak_p(rho)
-    return FrakExpansion(coeffs)
+            add_scaled(remainder, frak_p(rho), -c)
+    return FrakExpansion._wrap(coeffs)
 
 
 def assemble(expansion: FrakExpansion) -> GammaElement:
     """Inverse of :func:`expand_gamma_in_frak`: substitute frak_p(rho)."""
-    out = GammaElement.zero()
+    out: dict[OddPartition, Rat] = {}
     for rho, c in expansion.items():
-        out = out + c * frak_p(rho)
-    return out
+        add_scaled(out, frak_p(rho), c)
+    return GammaElement._wrap(out)

@@ -1,8 +1,15 @@
-"""The algebra Gamma of supersymmetric functions in the odd power-sum basis.
+"""Sparse exact linear combinations, and the algebra Gamma of supersymmetric
+functions in the odd power-sum basis.
+
+``SparseTerms`` is the one container behind every linear combination in
+this package: a finite map from keys (partitions, or the exponents j of
+n^(j)) to exact nonzero rationals, with the cleaning constructor, sums,
+scaling, display order, JSON records and the term renderer.  Its
+subclasses fix the key type and never compare equal to one another, so
+two bases cannot be mixed up.
 
 A ``GammaElement`` is a finite linear combination of basis monomials
-p_rho = p_{rho_1} p_{rho_2} ... indexed by odd partitions rho, stored
-sparsely with exact rational coefficients and no explicit zeros.  The
+p_rho = p_{rho_1} p_{rho_2} ... indexed by odd partitions rho.  The
 deformed scalar product is <p_rho, p_sigma> = 2^{-l(rho)} z_rho delta.
 """
 
@@ -14,61 +21,210 @@ from .partitions import OddPartition, StrictPartition, display_sort_key, z
 from .rational import Rat, ZERO, rat, rat_str, parse_rat
 
 
-def _as_odd(key) -> OddPartition:
-    if isinstance(key, OddPartition):
-        return key
-    return OddPartition(key)
+def add_into(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    new = out.get(key, 0) + value
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
-class GammaElement:
-    """Immutable sparse element of Gamma in the p-basis."""
+def add_scaled(out: dict, element: "SparseTerms", c) -> None:
+    """out += c * element, term by term, in place."""
+    for key, value in element._coeffs.items():
+        add_into(out, key, c * value)
+
+
+def render_terms(pairs, times: str = "*") -> str:
+    """ASCII rendering like ``p[3,1] - 4/3*p[1,1,1]`` from (name, coeff)
+    pairs, where the name "" marks the constant term; "0" when empty."""
+    chunks = []
+    for name, c in pairs:
+        mag = rat_str(abs(c))
+        if not name:
+            body = mag
+        elif mag == "1":
+            body = name
+        else:
+            body = f"{mag}{times}{name}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks) if chunks else "0"
+
+
+class SparseTerms:
+    """Immutable sparse map key -> exact nonzero rational.
+
+    Subclasses set ``_key`` (the key type; other keys are converted with
+    it) and ``_symbol`` (the basis symbol of ``str``).
+    """
 
     __slots__ = ("_coeffs",)
+    _key = OddPartition
+    _symbol = "p"
 
     def __init__(self, coeffs: Mapping | Iterable = ()):
+        """Build from a mapping or (key, coeff) pairs; repeated keys add up
+        and zero coefficients are dropped."""
         pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean = {}
+        key_type = self._key
+        clean: dict = {}
         for key, value in pairs:
-            value = rat(value)
-            if value:
-                clean[_as_odd(key)] = value
+            if not isinstance(key, key_type):
+                key = key_type(key)
+            add_into(clean, key, rat(value))
         self._coeffs = clean
+
+    @classmethod
+    def _wrap(cls, coeffs: dict):
+        # An element around a dict that already has typed keys and no zeros.
+        result = cls.__new__(cls)
+        result._coeffs = coeffs
+        return result
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    # -- structure -----------------------------------------------------------
+
+    _sort_key = staticmethod(display_sort_key)
+
+    def items(self):
+        """(key, coeff) pairs in display order: for partitions, degree
+        descending then decreasing lex."""
+        return sorted(self._coeffs.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def support(self) -> list:
+        return [key for key, _ in self.items()]
+
+    def coefficient(self, key) -> Rat:
+        if not isinstance(key, self._key):
+            key = self._key(key)
+        return self._coeffs.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    # -- linear operations ---------------------------------------------------
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._coeffs == other._coeffs
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for key, c in other._coeffs.items():
+            add_into(out, key, c)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self._coeffs.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        return self._scale(scalar)
+
+    def _scale(self, scalar):
+        scalar = rat(scalar)
+        if not scalar:
+            return self._wrap({})
+        return self._wrap({key: c * scalar for key, c in self._coeffs.items()})
+
+    # -- rendering -------------------------------------------------------------
+
+    @staticmethod
+    def _name(key, symbol: str) -> str:
+        return f"{symbol}[{key}]" if key.parts else ""
+
+    def render(self, symbol: str, times: str = "*") -> str:
+        """The terms in display order, each basis element named by symbol."""
+        return render_terms(
+            [(self._name(key, symbol), c) for key, c in self.items()], times
+        )
+
+    def __str__(self):
+        return self.render(self._symbol)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._coeffs!r})"
+
+    def to_json_obj(self) -> list:
+        return [
+            {"partition": str(key), "coeff": rat_str(c)} for key, c in self.items()
+        ]
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        """Inverse of ``to_json_obj``: a list of {"partition": text,
+        "coeff": text} records; repeated partitions add up."""
+        if not isinstance(obj, list):
+            raise ValueError(
+                'expected a list of {"partition", "coeff"} records, '
+                f"got {type(obj).__name__}"
+            )
+        pairs = []
+        for rec in obj:
+            if not (isinstance(rec, dict)
+                    and isinstance(rec.get("partition"), str)
+                    and isinstance(rec.get("coeff"), str)):
+                raise ValueError(
+                    'each record needs string fields "partition" and "coeff", '
+                    f"got {rec!r}"
+                )
+            pairs.append(
+                (cls._key.from_text(rec["partition"]), parse_rat(rec["coeff"]))
+            )
+        return cls(pairs)
+
+
+def _power_sum_value(coeffs: dict, values) -> Rat:
+    # sum_mu c_mu prod_i p_{mu_i}(values), each power sum computed once.
+    total = ZERO
+    psums: dict[int, Rat] = {}
+    for mu, c in coeffs.items():
+        v = c
+        for r in mu.parts:
+            pr = psums.get(r)
+            if pr is None:
+                pr = sum(x**r for x in values)
+                psums[r] = pr
+            v = v * pr
+        total += v
+    return total
+
+
+class GammaElement(SparseTerms):
+    """Immutable sparse element of Gamma in the p-basis."""
+
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "GammaElement":
-        return cls()
-
-    @classmethod
     def one(cls) -> "GammaElement":
-        return cls({OddPartition(): 1})
+        return cls({(): 1})
 
     @classmethod
     def p(cls, rho) -> "GammaElement":
         """The basis monomial p_rho (p_r for a single part r)."""
         if isinstance(rho, int):
             rho = (rho,)
-        return cls({_as_odd(rho): 1})
+        return cls({rho: 1})
 
     @classmethod
     def term(cls, rho, coeff) -> "GammaElement":
-        return cls({_as_odd(rho): coeff})
+        return cls({rho: coeff})
 
     # -- structure -----------------------------------------------------------
-
-    def items(self):
-        """(rho, coeff) pairs, degree-descending then decreasing lex."""
-        return sorted(self._coeffs.items(), key=lambda kv: display_sort_key(kv[0]))
-
-    def support(self) -> list[OddPartition]:
-        return [rho for rho, _ in self.items()]
-
-    def coefficient(self, rho) -> Rat:
-        return self._coeffs.get(_as_odd(rho), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def degree(self) -> int:
         """Max |rho| over the support; -1 for the zero element."""
@@ -77,7 +233,7 @@ class GammaElement:
         return max(rho.size for rho in self._coeffs)
 
     def homogeneous_component(self, d: int) -> "GammaElement":
-        return GammaElement(
+        return GammaElement._wrap(
             {rho: c for rho, c in self._coeffs.items() if rho.size == d}
         )
 
@@ -85,36 +241,9 @@ class GammaElement:
         by_degree: dict[int, dict] = {}
         for rho, c in self._coeffs.items():
             by_degree.setdefault(rho.size, {})[rho] = c
-        return {d: GammaElement(m) for d, m in sorted(by_degree.items())}
+        return {d: GammaElement._wrap(m) for d, m in sorted(by_degree.items())}
 
     # -- ring operations ------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, GammaElement) and self._coeffs == other._coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for rho, c in other._coeffs.items():
-            new = out.get(rho, ZERO) + c
-            if new:
-                out[rho] = new
-            else:
-                out.pop(rho, None)
-        result = GammaElement.__new__(GammaElement)
-        result._coeffs = out
-        return result
-
-    def __neg__(self):
-        result = GammaElement.__new__(GammaElement)
-        result._coeffs = {rho: -c for rho, c in self._coeffs.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, GammaElement):
@@ -125,26 +254,8 @@ class GammaElement:
                 key = OddPartition(
                     sorted(rho.parts + sigma.parts, reverse=True)
                 )
-                new = out.get(key, ZERO) + a * b
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        result = GammaElement.__new__(GammaElement)
-        result._coeffs = out
-        return result
-
-    def __rmul__(self, other):
-        return self._scale(other)
-
-    def _scale(self, scalar):
-        scalar = rat(scalar)
-        result = GammaElement.__new__(GammaElement)
-        if not scalar:
-            result._coeffs = {}
-        else:
-            result._coeffs = {rho: c * scalar for rho, c in self._coeffs.items()}
-        return result
+                add_into(out, key, a * b)
+        return GammaElement._wrap(out)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -158,18 +269,7 @@ class GammaElement:
 
     def evaluate(self, lam: StrictPartition) -> Rat:
         """Value f(lam): substitute p_r -> sum_i lam_i^r in every monomial."""
-        total = ZERO
-        psums: dict[int, int] = {}
-        for rho, c in self._coeffs.items():
-            v = c
-            for r in rho.parts:
-                pr = psums.get(r)
-                if pr is None:
-                    pr = sum(x**r for x in lam.parts)
-                    psums[r] = pr
-                v = v * pr
-            total += v
-        return total
+        return _power_sum_value(self._coeffs, lam.parts)
 
     def d_dp1(self) -> "GammaElement":
         """Formal partial derivative in the p_1 coordinate."""
@@ -179,49 +279,6 @@ class GammaElement:
             if m1:
                 out[OddPartition(rho.parts[:-1])] = c * m1
         return GammaElement(out)
-
-    # -- rendering -------------------------------------------------------------
-
-    def __repr__(self):
-        return f"GammaElement({self._coeffs!r})"
-
-    def __str__(self):
-        return render_terms(self.items(), "p")
-
-    def to_json_obj(self) -> list:
-        return [
-            {"partition": str(rho), "coeff": rat_str(c)} for rho, c in self.items()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "GammaElement":
-        return cls(
-            {
-                OddPartition.from_text(rec["partition"]): parse_rat(rec["coeff"])
-                for rec in obj
-            }
-        )
-
-
-def render_terms(pairs, symbol: str) -> str:
-    """ASCII rendering like ``p[3,1] - 4/3*p[1,1,1]``; "0" when empty."""
-    if not pairs:
-        return "0"
-    chunks = []
-    for rho, c in pairs:
-        name = f"{symbol}[{rho}]" if rho.parts else "1"
-        mag = abs(c)
-        if mag == 1 and rho.parts:
-            body = name
-        elif rho.parts:
-            body = f"{rat_str(mag)}*{name}"
-        else:
-            body = rat_str(mag)
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
 
 
 def scalar_product(f: GammaElement, g: GammaElement) -> Rat:

@@ -19,12 +19,13 @@ frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
-from .gamma import GammaElement
+from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
     OddPartition,
     StrictPartition,
@@ -35,7 +36,7 @@ from .partitions import (
     g_skew,
     z,
 )
-from .rational import Rat, ZERO, rat, rat_str
+from .rational import Rat, ZERO, parse_rat, rat, rat_str
 
 
 @cache
@@ -49,30 +50,15 @@ def _falling_monomial(j: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _monomial_to_falling(m: int) -> tuple[int, ...]:
-    # n^m = sum_j T(m, j) n^(j); row of Stirling numbers with T(0,0) = 1.
-    return _stirling2_row(m)
-
-
-class PolynomialInN:
+class PolynomialInN(SparseTerms):
     """Polynomial in the symbol n, stored in the falling-factorial basis."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping | Iterable = ()):
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean = {}
-        for j, c in pairs:
-            c = rat(c)
-            if c:
-                clean[int(j)] = c
-        self._coeffs = clean
+    __slots__ = ()
+    _key = int
+    _symbol = "n^({})"
+    _sort_key = staticmethod(operator.neg)
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PolynomialInN":
-        return cls()
 
     @classmethod
     def constant(cls, c) -> "PolynomialInN":
@@ -91,13 +77,10 @@ class PolynomialInN:
         out: dict[int, Rat] = {}
         for m, c in coeffs.items():
             c = rat(c)
-            if not c:
-                continue
-            row = _monomial_to_falling(int(m))
-            for j, t in enumerate(row):
+            for j, t in enumerate(_stirling2_row(int(m))):
                 if t:
-                    out[j] = out.get(j, ZERO) + c * t
-        return cls(out)
+                    add_into(out, j, c * t)
+        return cls._wrap(out)
 
     @classmethod
     def from_binomial(cls, coeffs: Mapping) -> "PolynomialInN":
@@ -120,11 +103,7 @@ class PolynomialInN:
         for j, c in self._coeffs.items():
             for m, t in enumerate(_falling_monomial(j)):
                 if t:
-                    new = out.get(m, ZERO) + c * t
-                    if new:
-                        out[m] = new
-                    else:
-                        out.pop(m, None)
+                    add_into(out, m, c * t)
         return out
 
     def binomial_coeffs(self) -> dict[int, Rat]:
@@ -134,79 +113,41 @@ class PolynomialInN:
         """Polynomial degree; -1 for the zero polynomial."""
         return max(self._coeffs, default=-1)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def evaluate(self, n: int) -> Rat:
         return sum((c * falling(n, j) for j, c in self._coeffs.items()),
                    start=ZERO)
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __eq__(self, other):
-        return isinstance(other, PolynomialInN) and self._coeffs == other._coeffs
-
     def __add__(self, other):
-        if not isinstance(other, PolynomialInN):
-            other = PolynomialInN.constant(other)
-        out = dict(self._coeffs)
-        for j, c in other._coeffs.items():
-            new = out.get(j, ZERO) + c
-            if new:
-                out[j] = new
-            else:
-                out.pop(j, None)
-        return PolynomialInN(out)
+        return super().__add__(self.coerce(other))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PolynomialInN({j: -c for j, c in self._coeffs.items()})
-
     def __sub__(self, other):
-        if not isinstance(other, PolynomialInN):
-            other = PolynomialInN.constant(other)
-        return self + (-other)
+        return self + (-self.coerce(other))
 
     def __rsub__(self, other):
-        return PolynomialInN.constant(other) + (-self)
+        return self.coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, PolynomialInN):
-            a = self.monomial_coeffs()
-            b = other.monomial_coeffs()
-            prod: dict[int, Rat] = {}
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    prod[ma + mb] = prod.get(ma + mb, ZERO) + ca * cb
-            return PolynomialInN.from_monomial(prod)
-        scalar = rat(other)
-        return PolynomialInN({j: c * scalar for j, c in self._coeffs.items()})
+        if not isinstance(other, PolynomialInN):
+            return self._scale(other)
+        b = other.monomial_coeffs()
+        prod: dict[int, Rat] = {}
+        for ma, ca in self.monomial_coeffs().items():
+            for mb, cb in b.items():
+                add_into(prod, ma + mb, ca * cb)
+        return PolynomialInN.from_monomial(prod)
 
     __rmul__ = __mul__
 
-    def __repr__(self):
-        return f"PolynomialInN({self._coeffs!r})"
+    # -- rendering and JSON -------------------------------------------------------
 
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        chunks = []
-        for j in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[j]
-            base = f"n^({j})" if j > 1 else ("n" if j == 1 else "")
-            mag = abs(c)
-            if not base:
-                body = rat_str(mag)
-            elif mag == 1:
-                body = base
-            else:
-                body = f"{rat_str(mag)}*{base}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+    @staticmethod
+    def _name(j: int, symbol: str) -> str:
+        # symbol is a template for n^(j), j >= 2, such as "n^({})".
+        return "" if j == 0 else "n" if j == 1 else symbol.format(j)
 
     def to_json_obj(self) -> dict:
         """All three exact views, keys descending, rationals as strings."""
@@ -220,6 +161,11 @@ class PolynomialInN:
             "monomial": render(self.monomial_coeffs()),
             "binomial": render(self.binomial_coeffs()),
         }
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "PolynomialInN":
+        """Inverse of ``to_json_obj``, read from its "falling" view."""
+        return cls({int(j): parse_rat(c) for j, c in obj["falling"].items()})
 
 
 def falling_shifted(shift: int, k: int) -> PolynomialInN:

@@ -26,7 +26,7 @@ if _requested in ("", "gmpy2"):
         from fractions import Fraction as Rat
 
         BACKEND = "fractions"
-elif _requested in ("fractions", "fraction", "pure"):
+elif _requested == "fractions":
     from fractions import Fraction as Rat
 
     BACKEND = "fractions"

@@ -11,7 +11,6 @@ from superq.cli import main
 from superq.gamma import GammaElement
 from superq.partitions import StrictPartition
 from superq.plancherel import PolynomialInN, average_bruteforce
-from superq.rational import rat
 from superq.schurq import q
 
 
@@ -70,9 +69,7 @@ def test_avg_symbolic_large_degree(capsys):
     # degree 21 interpolates through n = 0..22; n = 23 lies beyond the nodes
     code, out, _ = run(capsys, "avg", "--f", "p[21]", "--symbolic")
     assert code == 0
-    poly = PolynomialInN(
-        {int(j): rat(c) for j, c in json.loads(out)["falling"].items()}
-    )
+    poly = PolynomialInN.from_json_obj(json.loads(out))
     assert poly.evaluate(23) == average_bruteforce(GammaElement.p(21), 23)
 
 
@@ -145,6 +142,11 @@ def test_content_commands(capsys):
     from superq.content import hat_p
 
     assert GammaElement.from_json_obj(json.loads(out)) == hat_p(1) ** 2
+    # a partition given twice adds up: hat-F of 1*p_1 + 2*p_1 is 3*hat_p(1)
+    psum = '[{"partition": "1", "coeff": "1"}, {"partition": "1", "coeff": "2"}]'
+    code, out, _ = run(capsys, "content", "hatF", "--psum", psum)
+    assert code == 0
+    assert GammaElement.from_json_obj(json.loads(out)) == 3 * hat_p(1)
 
 
 def test_psi_and_phi(capsys):
@@ -186,18 +188,36 @@ def test_domain_error_exits_1(capsys):
     assert code == 1
 
 
-def test_too_large_input_is_a_domain_error():
-    # g_skew recurses once per cell, so a long row exhausts the stack
+def assert_domain_error_in_subprocess(*argv):
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "superq.cli", "gskew", "1500", "1"],
+        [sys.executable, "-m", "superq.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr)["error"]["kind"] == "domain"
+    return json.loads(proc.stderr)["error"]["message"]
+
+
+def test_too_large_input_is_a_domain_error():
+    # g_skew recurses once per cell, so a long row exhausts the stack
+    assert_domain_error_in_subprocess("gskew", "1500", "1")
+
+
+def test_malformed_psum_is_a_domain_error(capsys):
+    message = assert_domain_error_in_subprocess(
+        "content", "hatF", "--psum", '[{"partition": "1"}]'
+    )
+    assert '"partition" and "coeff"' in message
+    for psum in ('"p[1]"', '{"partition": "1", "coeff": "1"}', '["1"]',
+                 '[{"partition": 1, "coeff": "1"}]', '[{"partition": "1", "coeff": 2}]'):
+        code, out, err = run(capsys, "content", "hatF", "--psum", psum)
+        assert code == 1 and out == ""
+        assert "record" in json.loads(err)["error"]["message"]
 
 
 def test_usage_error_exits_2(capsys):
@@ -207,13 +227,31 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["avg", "--f", "p[1]"])  # neither --symbolic nor --n
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "enum", "3"])  # no such global option
+    assert exc.value.code == 2
+
+
+PRETTY_CASES = [
+    (["avg", "--f", "p[3]", "--symbolic"], "3·n^↓2 + n"),
+    (["qfunc", "2,1"], "-4/3·p[3] + 4/3·p[1,1,1]"),
+    (["frak", "expand-p", "5"],
+     "𝔭[5] + 10·𝔭[3,1] + 35/3·𝔭[3] + 40/3·𝔭[1,1,1] + 15·𝔭[1,1] + 𝔭[1]"),
+    (["psi", "3"], "6·p[5] + 2·p[3]"),
+    (["content", "hatp", "2"], "1/20·p[5] - 1/12·p[3] + 1/30·p[1]"),
+    (["avg", "--f", "hatp[1]", "--mu", "2,1", "--symbolic"], "1/2·n^↓2 + 3·n + 1"),
+    (["avg", "--f", "p[1]-p[1]", "--symbolic"], "0"),
+    (["avg", "--f", "3", "--symbolic"], "3"),
+    (["content", "hatF", "--psum", '[{"partition": "2", "coeff": "-1/3"}]'],
+     "-1/60·p[5] + 1/36·p[3] - 1/90·p[1]"),
+]
 
 
 def test_pretty_format(capsys):
-    code, out, _ = run(capsys, "avg", "--f", "p[3]", "--symbolic",
-                       "--format", "pretty")
-    assert code == 0
-    assert out.strip() == "3·n^↓2 + n"
+    for argv, expected in PRETTY_CASES:
+        code, out, _ = run(capsys, *argv, "--format", "pretty")
+        assert code == 0
+        assert out == expected + "\n", argv
 
 
 def test_verify_all_pass(capsys):

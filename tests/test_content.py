@@ -133,6 +133,10 @@ def test_psum_expr_evaluate_at_parts():
     p2 = OrdinaryPSumExpr.p(2)
     assert p2.evaluate(StrictPartition((2, 1))) == 5
     assert p2.evaluate(StrictPartition(())) == 0
+    assert str(p2) == "p[2]"
+    assert str(OrdinaryPSumExpr({(2, 2): rat(-1, 2), (): 1, (3,): -1})) == (
+        "-1/2*p[2,2] - p[3] + 1"
+    )
 
 
 # --- psi functions ----------------------------------------------------------------

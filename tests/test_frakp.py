@@ -144,6 +144,11 @@ def test_deg1_examples():
 def test_frak_json_round_trip():
     e = expand_p_in_frak(OddPartition((3, 1, 1)))
     assert FrakExpansion.from_json_obj(e.to_json_obj()) == e
+    assert str(expand_p_in_frak(OddPartition((5,)))) == (
+        "fp[5] + 10*fp[3,1] + 35/3*fp[3] + 40/3*fp[1,1,1] + 15*fp[1,1] + fp[1]"
+    )
+    assert str(FrakExpansion()) == "0"
+    assert str(FrakExpansion({(): -2, (1,): -1})) == "-fp[1] - 2"
 
 
 def test_frak_is_not_gamma():

@@ -28,6 +28,9 @@ def test_canonical_sparse_form():
     assert f.is_zero() and f.support() == []
     g = GammaElement({(3,): 0, (1,): 2})
     assert g.support() == [OddPartition((1,))]
+    # repeated keys add up, and may cancel
+    assert GammaElement([((1,), 1), ((1,), 2)]) == 3 * p(1)
+    assert GammaElement([((3,), 1), ((1,), 1), ((3,), -1)]) == p(1)
 
 
 def test_pow_and_scale():

@@ -59,6 +59,7 @@ def test_basis_conversions_round_trip(coeffs):
     poly = PolynomialInN(coeffs)
     assert PolynomialInN.from_monomial(poly.monomial_coeffs()) == poly
     assert PolynomialInN.from_binomial(poly.binomial_coeffs()) == poly
+    assert PolynomialInN.from_json_obj(poly.to_json_obj()) == poly
 
 
 @given(poly_coeff_dicts(), poly_coeff_dicts())

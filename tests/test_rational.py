@@ -48,6 +48,13 @@ def test_forced_fallback_backend():
     assert _backend_in_subprocess("fractions") == "fractions"
 
 
+@pytest.mark.parametrize("name", ["fraction", "pure", "float"])
+def test_unknown_backend_name_is_refused(name):
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        _backend_in_subprocess(name)
+    assert "not understood" in exc.value.stderr
+
+
 def test_fallback_computes_same_values():
     # a real end-to-end computation must not depend on the backend
     code = (
