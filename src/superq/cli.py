@@ -2,8 +2,10 @@
 
 JSON is the machine format (rationals are strings, never floats; key order
 is canonical so output is byte-deterministic).  ``--format pretty`` renders
-unicode math; ``chartable`` defaults to CSV.  Exit codes: 0 success
-(including conjecture counterexamples), 1 domain error, 2 usage.
+unicode math for the commands that print an element or a polynomial;
+``chartable`` defaults to CSV and ``verify`` to a table.  Each command
+accepts only the formats it renders.  Exit codes: 0 success (including
+conjecture counterexamples), 1 domain error, 2 usage.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ from .plancherel import (
 )
 from .rational import rat_str
 from .schurq import character_table, q
+
+
+# The formats of a command that prints an element as JSON records or terms.
+PRETTY = ("json", "pretty")
+
+
+class UsageError(Exception):
+    """Options that parse but do not go together; exit 2 like argparse."""
 
 
 def _emit_json(obj):
@@ -133,6 +143,8 @@ def cmd_frak_deg1(args):
 
 
 def cmd_avg(args):
+    if args.format == "pretty" and not args.symbolic:
+        raise UsageError("--format pretty needs --symbolic")
     element = parse_and_eval(args.f)
     mu = StrictPartition.from_text(args.mu) if args.mu is not None else None
     if args.symbolic:
@@ -156,6 +168,8 @@ def cmd_content_hatf(args):
 
 
 def cmd_psi(args):
+    if args.format == "pretty" and args.lam is not None:
+        raise UsageError("--format pretty does not go with --lambda")
     if args.lam is not None:
         lam = StrictPartition.from_text(args.lam)
         value = psi_direct(args.k, lam)
@@ -218,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, fmt_default="json"):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text, formats=("json",), group=sub):
+        """A subcommand that renders the given formats; the first is the
+        default, and any other is a usage error."""
+        p = group.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
-        p.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default=fmt_default)
+        p.add_argument("--format", choices=formats, default=formats[0])
         return p
 
     p = add("enum", cmd_enum, "list strict and odd partitions of n")
@@ -240,14 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
     p.add_argument("--mu", default=None)
 
-    p = add("qfunc", cmd_qfunc, "Schur Q-function in the power-sum basis")
+    p = add("qfunc", cmd_qfunc, "Schur Q-function in the power-sum basis",
+            PRETTY)
     p.add_argument("partition")
 
     p = add("chartable", cmd_chartable, "projective character table of degree k",
-            fmt_default="csv")
+            ("csv", "json"))
     p.add_argument("k", type=int)
 
-    p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis")
+    p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
+            PRETTY)
     p.add_argument("partition")
 
     p = add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)")
@@ -256,21 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     frak = sub.add_parser("frak", help="the deformed power-sum basis")
     frak_sub = frak.add_subparsers(dest="frak_command", required=True)
-    p = frak_sub.add_parser("expand-p", help="expand p_rho in the frak-p basis")
-    p.set_defaults(func=cmd_frak_expand_p)
+    p = add("expand-p", cmd_frak_expand_p, "expand p_rho in the frak-p basis",
+            PRETTY, frak_sub)
     p.add_argument("rho")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p = frak_sub.add_parser("eval", help="closed-form value frak_p(rho)(lambda)")
-    p.set_defaults(func=cmd_frak_eval)
+    p = add("eval", cmd_frak_eval, "closed-form value frak_p(rho)(lambda)",
+            group=frak_sub)
     p.add_argument("rho")
     p.add_argument("lam", metavar="lambda")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p = frak_sub.add_parser("deg1", help="deg1 filtration degree of an expression")
-    p.set_defaults(func=cmd_frak_deg1)
+    p = add("deg1", cmd_frak_deg1, "deg1 filtration degree of an expression",
+            group=frak_sub)
     p.add_argument("expr")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
-    p = add("avg", cmd_avg, "shifted Plancherel average of an expression")
+    p = add("avg", cmd_avg, "shifted Plancherel average of an expression",
+            PRETTY)
     p.add_argument("--f", required=True, metavar="EXPR")
     p.add_argument("--mu", default=None)
     mode = p.add_mutually_exclusive_group(required=True)
@@ -280,17 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     content = sub.add_parser("content", help="content evaluations")
     content_sub = content.add_subparsers(dest="content_command", required=True)
-    p = content_sub.add_parser("hatp", help="the supersymmetric function hat-p_k")
-    p.set_defaults(func=cmd_content_hatp)
+    p = add("hatp", cmd_content_hatp, "the supersymmetric function hat-p_k",
+            PRETTY, content_sub)
     p.add_argument("k", type=int)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p = content_sub.add_parser("hatF", help="hat-F for a power-sum expansion")
-    p.set_defaults(func=cmd_content_hatf)
+    p = add("hatF", cmd_content_hatf, "hat-F for a power-sum expansion",
+            PRETTY, content_sub)
     p.add_argument("--psum", required=True,
                    help='JSON list like [{"partition": "2", "coeff": "1"}]')
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
-    p = add("psi", cmd_psi, "Han-Xiong corner function")
+    p = add("psi", cmd_psi, "Han-Xiong corner function", PRETTY)
     p.add_argument("k", type=int)
     p.add_argument("--lambda", dest="lam", default=None)
 
@@ -300,23 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     lab = sub.add_parser("lab", help="conjecture laboratory")
     lab_sub = lab.add_subparsers(dest="lab_command", required=True)
-    p = lab_sub.add_parser("deg1-scan", help="scan deg1 filtration conjecture")
-    p.set_defaults(func=cmd_lab_scan)
+    p = add("deg1-scan", cmd_lab_scan, "scan deg1 filtration conjecture",
+            group=lab_sub)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p = lab_sub.add_parser("p2", help="E_n[p2] table and quadratic-fit failure")
-    p.set_defaults(func=cmd_lab_p2)
+    p = add("p2", cmd_lab_p2, "E_n[p2] table and quadratic-fit failure",
+            group=lab_sub)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--cap", type=int, default=14)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p = lab_sub.add_parser("fstruct", help="structure constants of a product")
-    p.set_defaults(func=cmd_lab_fstruct)
+    p = add("fstruct", cmd_lab_fstruct, "structure constants of a product",
+            group=lab_sub)
     p.add_argument("sigma")
     p.add_argument("tau")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
     add("verify", cmd_verify, "run the full paper-identity golden suite",
-        fmt_default="pretty")
+        ("pretty", "json"))
 
     return parser
 
@@ -326,6 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, TypeError) as exc:
         message = str(exc)
     except (RecursionError, MemoryError) as exc:

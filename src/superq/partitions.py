@@ -149,6 +149,8 @@ def _strict_tuples(n, max_part):
         yield ()
         return
     for first in range(min(n, max_part), 0, -1):
+        if first * (first + 1) < 2 * n:
+            break  # the parts below first sum to at most first(first-1)/2
         for rest in _strict_tuples(n - first, first - 1):
             yield (first, *rest)
 
@@ -292,6 +294,32 @@ def g_skew(lam: StrictPartition, mu: StrictPartition) -> int:
     return _g_skew(lam.parts, mu.parts)
 
 
+def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
+    """g^{lam/mu} for every strict lam of size |mu| + n that contains mu,
+    keyed by the parts of lam.
+
+    One forward sweep over part tuples: start from {mu: 1}; at each of the
+    n steps, add every addable cell of each shape and sum the counts that
+    arrive at the same tuple.  No partition objects and no memo; the
+    recursive ``g_skew`` is its test oracle.
+    """
+    layer = {mu.parts: 1}
+    for _ in range(n):
+        grown: dict[tuple, int] = {}
+        for parts, count in layer.items():
+            above = None
+            for i, part in enumerate(parts):
+                if above is None or above > part + 1:
+                    shape = (*parts[:i], part + 1, *parts[i + 1:])
+                    grown[shape] = grown.get(shape, 0) + count
+                above = part
+            if not parts or parts[-1] > 1:
+                shape = (*parts, 1)
+                grown[shape] = grown.get(shape, 0) + count
+        layer = grown
+    return layer
+
+
 def g(lam: StrictPartition) -> int:
     """Number of standard tableaux of shifted shape lam; g(empty) = 1.
 
@@ -299,8 +327,12 @@ def g(lam: StrictPartition) -> int:
     g(lam) = n! prod_{i<j} (lam_i - lam_j) / (prod_i lam_i! prod_{i<j} (lam_i + lam_j)),
     in integers; the recursive ``g_skew(lam, empty)`` is its test oracle.
     """
-    parts = lam.parts
-    numer = factorial(lam.size)
+    return _g_parts(lam.parts)
+
+
+def _g_parts(parts: tuple) -> int:
+    # g on the parts of a strict partition, without building the partition.
+    numer = factorial(sum(parts))
     denom = 1
     for i, a in enumerate(parts):
         denom *= factorial(a)

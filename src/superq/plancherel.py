@@ -5,6 +5,16 @@ averages as polynomials in n.
 factorial basis n^(j) = n(n-1)...(n-j+1) with exact rational coefficients;
 monomial and binomial C(n, j) renderings are exact, invertible views.
 
+Brute-force averages run in integers.  f is written as (1/D) sum_mu a_mu p_mu
+with D the lcm of its coefficient denominators; each strict lambda adds
+its integer measure weight (2^{n - l(lambda)} g(lambda)^2 for E_n) times
+sum_mu a_mu p_mu(lambda) to an integer total, and the one rational
+division per call is by D * n! (by D * (n + m)! * g(mu) / m! for E_{mu,n},
+whose skew counts come from one forward sweep, ``skew_counts``).  Their
+oracles are the per-lambda sums of ``prob`` (or ``prob_mu``) times
+``f.evaluate(lambda)`` in the tests, and the recursive ``g_skew`` for the
+sweep.
+
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
 brute-force values at n = 0..d determine them, and Newton forward
@@ -21,19 +31,22 @@ from __future__ import annotations
 
 import operator
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
+from .content import OrdinaryPSumExpr
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
 from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
     OddPartition,
     StrictPartition,
+    _g_parts,
     _stirling2_row,
-    enumerate_strict,
+    _strict_tuples,
     falling,
     g,
     g_skew,
+    skew_counts,
     z,
 )
 from .rational import Rat, ZERO, parse_rat, rat, rat_str
@@ -198,31 +211,70 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 # --- averages ----------------------------------------------------------------
 
 
-def average_bruteforce(f, n: int) -> Rat:
-    """E_n[f] summed over all strict partitions of n.
+def _integer_form(f) -> tuple[int, list[tuple[int, tuple]]]:
+    """(D, [(a_mu, parts of mu)]) with f = (1/D) sum_mu a_mu p_mu, where D is
+    the lcm of the coefficient denominators and every a_mu is an integer."""
+    if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
+        raise TypeError(
+            "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
+            f"got {type(f).__name__}"
+        )
+    denom = lcm(*(c.denominator for c in f._coeffs.values()))
+    return denom, [(c.numerator * (denom // c.denominator), mu.parts)
+                   for mu, c in f._coeffs.items()]
 
-    f may be any evaluator with an ``evaluate(lambda)`` method; this admits
-    ordinary power-sum expressions (even parts included) alongside Gamma
-    elements.
+
+def _weighted_total(terms, shapes) -> int:
+    """sum over (parts, weight) in shapes of weight * sum_mu a_mu prod_i
+    p_{mu_i}(parts), with every power sum p_r(parts) computed once per shape."""
+    powers = sorted({r for _, mu in terms for r in mu})
+    total = 0
+    for parts, weight in shapes:
+        psums = {r: sum([x**r for x in parts]) for r in powers}
+        value = 0
+        for a, mu in terms:
+            for r in mu:
+                a *= psums[r]
+            value += a
+        total += weight * value
+    return total
+
+
+def average_bruteforce(f, n: int) -> Rat:
+    """E_n[f] summed over all strict partitions of n, in integers.
+
+    f is a ``GammaElement`` or an ``OrdinaryPSumExpr`` (even parts allowed),
+    written as (1/D) sum_mu a_mu p_mu with integer a_mu.  Each lambda adds
+    2^{n - l(lambda)} g(lambda)^2 * sum_mu a_mu p_mu(lambda) to an integer
+    total, and the one division is by D * n!.  The per-lambda route
+    sum_lambda prob(n, lambda) * f.evaluate(lambda) is the test oracle.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for lam in enumerate_strict(n):
-        total += prob(n, lam) * f.evaluate(lam)
-    return total
+    denom, terms = _integer_form(f)
+    shapes = ((lam, _g_parts(lam) ** 2 << (n - len(lam)))
+              for lam in _strict_tuples(n, n))
+    return rat(_weighted_total(terms, shapes), denom * factorial(n))
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
-    """E_{mu,n}[f] summed over all strict partitions of n + |mu|."""
+    """E_{mu,n}[f] summed over all strict partitions of n + |mu|, in integers.
+
+    As ``average_bruteforce``, with the weight
+    2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu} and the one division by
+    D * (n + m)! * g(mu) / m!, m = |mu|.  The skew counts of every lambda
+    come from one forward sweep (``skew_counts``); the per-lambda route
+    through ``prob_mu`` is the test oracle.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for lam in enumerate_strict(n + mu.size):
-        p = prob_mu(mu, n, lam)
-        if p:
-            total += p * f.evaluate(lam)
-    return total
+    denom, terms = _integer_form(f)
+    m = mu.size
+    shift = n + mu.length
+    shapes = ((lam, _g_parts(lam) * skew << (shift - len(lam)))
+              for lam, skew in skew_counts(mu, n).items())
+    return rat(_weighted_total(terms, shapes) * factorial(m),
+               denom * factorial(n + m) * g(mu))
 
 
 def _require_gamma(f):

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import superq
+import superq.cli
 from superq.cli import main
+from superq.frakp import expand_p_in_frak
 from superq.gamma import GammaElement
-from superq.partitions import StrictPartition
+from superq.partitions import OddPartition, StrictPartition
 from superq.plancherel import PolynomialInN, average_bruteforce
 from superq.schurq import q
 
@@ -230,6 +232,63 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "enum", "3"])  # no such global option
     assert exc.value.code == 2
+
+
+# (argv, a format the command does not render, one it does)
+FORMAT_CASES = [
+    (["enum", "5"], "pretty", "json"),
+    (["g", "4,1"], "pretty", "json"),
+    (["gskew", "4,1", "3"], "csv", "json"),
+    (["prob", "5", "4,1"], "pretty", "json"),
+    (["qfunc", "2,1"], "csv", "pretty"),
+    (["chartable", "3"], "pretty", "json"),
+    (["pstar", "3"], "csv", "pretty"),
+    (["pstar-eval", "2,1", "2,1"], "pretty", "json"),
+    (["frak", "expand-p", "5"], "csv", "pretty"),
+    (["frak", "eval", "3", "2,1"], "pretty", "json"),
+    (["frak", "deg1", "p[3]"], "csv", "json"),
+    (["avg", "--f", "p[3]", "--symbolic"], "csv", "pretty"),
+    (["avg", "--f", "p[3]", "--n", "3"], "pretty", "json"),
+    (["content", "hatp", "2"], "csv", "pretty"),
+    (["content", "hatF", "--psum", '[{"partition": "2", "coeff": "1"}]'],
+     "csv", "pretty"),
+    (["psi", "3"], "csv", "pretty"),
+    (["psi", "2", "--lambda", "2,1"], "pretty", "json"),
+    (["phi-check", "5,4,2", "8"], "pretty", "json"),
+    (["lab", "deg1-scan", "--max", "4"], "csv", "json"),
+    (["lab", "p2", "--max-n", "6"], "pretty", "json"),
+    (["lab", "fstruct", "3", "3"], "csv", "json"),
+    (["verify"], "csv", "pretty"),
+]
+
+
+@pytest.mark.parametrize("argv, rejected, accepted", FORMAT_CASES)
+def test_format_is_checked_per_command(capsys, argv, rejected, accepted):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", rejected])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, *argv, "--format", accepted)
+    assert code == 0 and out
+
+
+def test_non_evaluator_average_is_a_domain_error(capsys, monkeypatch):
+    # every parsed expression is a GammaElement, so feed the CLI a frak-p one
+    monkeypatch.setattr(superq.cli, "parse_and_eval",
+                        lambda text: expand_p_in_frak(OddPartition((3,))))
+    code, out, err = run(capsys, "avg", "--f", "p[3]", "--n", "3")
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert "GammaElement or an OrdinaryPSumExpr" in message
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "superq", "g", "4,1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "3\n"
 
 
 PRETTY_CASES = [

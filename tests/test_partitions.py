@@ -18,6 +18,7 @@ from superq.partitions import (
     outer_corners,
     remove_cell,
     shifted_cells,
+    skew_counts,
     stirling2,
     z,
 )
@@ -227,6 +228,23 @@ def test_g_equals_recursive_g_skew():
     for n in range(26):
         for lam in enumerate_strict(n):
             assert g(lam) == g_skew(lam, empty)
+
+
+def test_skew_sweep_equals_recursive_g_skew():
+    # every strict lam containing mu with |lam| <= 14, and no other shape
+    for m in range(15):
+        for mu in enumerate_strict(m):
+            for n in range(15 - m):
+                want = {lam.parts: g_skew(lam, mu)
+                        for lam in enumerate_strict(m + n) if contains(lam, mu)}
+                assert skew_counts(mu, n) == want
+
+
+def test_g_on_large_shapes():
+    # one row has one tableau; (n-1, 1) puts any of 2..n-1 in the second row
+    for n in range(3, 2001):
+        assert g(StrictPartition((n,))) == 1
+        assert g(StrictPartition((n - 1, 1))) == n - 2
 
 
 def test_squared_tableaux_identity():

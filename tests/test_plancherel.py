@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import strategies as strat
+from plancherel_oracle import oracle_average, oracle_average_mu
 from superq.content import OrdinaryPSumExpr, hat_p
-from superq.frakp import deg1, expand_gamma_in_frak, frak_p, frak_p_eval
+from superq.frakp import (
+    deg1,
+    expand_gamma_in_frak,
+    expand_p_in_frak,
+    frak_p,
+    frak_p_eval,
+)
 from superq.gamma import GammaElement
 from superq.partitions import (
     OddPartition,
@@ -145,6 +152,60 @@ def test_average_mu_bruteforce_normalization():
         for mu in enumerate_strict(m):
             for n in range(6):
                 assert average_mu_bruteforce(one, mu, n) == 1
+
+
+def big_rationals():
+    # numerators and large denominators, many of them coprime to each other
+    return st.builds(rat, st.integers(-10**12, 10**12),
+                     st.sampled_from([1, 2, 3, 10007, 65537, 999983, 2**31 - 1,
+                                      10**9 + 7, 2**61 - 1, 3**20]))
+
+
+def gamma_big(max_degree=6, max_terms=5):
+    return st.dictionaries(strat.odd_partitions(max_degree), big_rationals(),
+                           max_size=max_terms).map(GammaElement)
+
+
+def ordinary_exprs():
+    # even parts included: p_2, p_2 p_1, p_4, ...
+    return st.dictionaries(strat.ordinary_partitions(4), big_rationals(),
+                           max_size=4).map(OrdinaryPSumExpr)
+
+
+@given(st.one_of(gamma_big(), ordinary_exprs()), st.integers(0, 12))
+@example(GammaElement.zero(), 7)
+@example(GammaElement.term((), rat(-5, 999983)), 9)
+@example(OrdinaryPSumExpr({(2, 2): rat(1, 2**61 - 1), (4,): 3}), 12)
+def test_integer_route_equals_per_shape_sum(f, n):
+    assert average_bruteforce(f, n) == oracle_average(f, n)
+
+
+@given(st.one_of(gamma_big(), ordinary_exprs()),
+       strat.strict_partitions(max_size=4), st.integers(0, 12))
+@example(GammaElement.zero(), StrictPartition((2, 1)), 5)
+@example(GammaElement.term((), rat(7, 10007)), StrictPartition((4,)), 11)
+@example(OrdinaryPSumExpr({(2,): rat(1, 3**20)}), StrictPartition((3, 1)), 12)
+def test_mu_integer_route_equals_per_shape_sum(f, mu, n):
+    assert average_mu_bruteforce(f, mu, n) == oracle_average_mu(f, mu, n)
+
+
+def test_large_measure_normalization():
+    for n in range(41):
+        assert sum((prob(n, lam) for lam in enumerate_strict(n)), start=rat(0)) == 1
+    assert average_bruteforce(GammaElement.one(), 60) == 1
+    assert average_mu_bruteforce(GammaElement.one(), StrictPartition((2, 1)), 40) == 1
+
+
+def test_bruteforce_rejects_other_objects():
+    mu = StrictPartition((1,))
+    # a frak-p expansion has odd-partition keys too, but they are not p_mu
+    for f in (expand_p_in_frak(OddPartition((3,))), 3, None, StrictPartition((2,))):
+        for call in (lambda: average_bruteforce(f, 3),
+                     lambda: average_mu_bruteforce(f, mu, 3)):
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert len(str(exc.value).splitlines()) == 1
+            assert "GammaElement or an OrdinaryPSumExpr" in str(exc.value)
 
 
 # --- symbolic averages -------------------------------------------------------------------
