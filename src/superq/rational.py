@@ -1,42 +1,19 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-Every coefficient in this package is an exact rational.  At import time we
-pick gmpy2's C-implemented ``mpq`` when it is installed (markedly faster on
-small rationals); otherwise we fall back to the pure-Python
-``fractions.Fraction``.  Both backends are value-compatible: identical
-string form (``a/b`` with positive denominator, bare ``a`` when the
-denominator is 1), identical hashing, always lowest terms.
-
-Set ``SUPERQ_RATIONAL=fractions`` in the environment to force the fallback,
-or ``SUPERQ_RATIONAL=gmpy2`` to make a missing gmpy2 a hard error.
+Every coefficient in this package is an exact ``fractions.Fraction``:
+always in lowest terms, rendered as ``a/b`` with a positive denominator or
+as a bare ``a`` when the denominator is 1.
 """
 
-import os
+import re
+from fractions import Fraction as Rat
 
-_requested = os.environ.get("SUPERQ_RATIONAL", "").strip().lower()
-
-if _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        from fractions import Fraction as Rat
-
-        BACKEND = "fractions"
-elif _requested == "fractions":
-    from fractions import Fraction as Rat
-
-    BACKEND = "fractions"
-else:
-    raise RuntimeError(
-        f"SUPERQ_RATIONAL={_requested!r} not understood (use 'gmpy2' or 'fractions')"
-    )
+BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
+
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat(value, den=None):
@@ -52,11 +29,14 @@ def rat_str(q) -> str:
 
 
 def parse_rat(text: str):
-    """Inverse of :func:`rat_str`; accepts ``a`` and ``a/b``."""
-    try:
-        return Rat(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    """Inverse of :func:`rat_str`; accepts exactly ``a`` and ``a/b`` (ASCII digits)."""
+    literal = text.strip()
+    if _LITERAL.fullmatch(literal):
+        try:
+            return Rat(literal)
+        except (ValueError, ZeroDivisionError):  # 1/0, or past the int digit limit
+            pass
+    raise ValueError(f"not a rational literal: {text!r}")
 
 
 def is_integral(q) -> bool:

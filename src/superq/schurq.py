@@ -164,13 +164,7 @@ def character_via_scalar(lam: StrictPartition, rho: OddPartition) -> Rat:
 
 def expand_p_in_P(rho: OddPartition) -> dict[StrictPartition, Rat]:
     """Coefficients of p_rho = sum_lambda X^lambda_rho P_lambda (zeros dropped)."""
-    table = character_table(rho.size)
-    out = {}
-    for lam in table.strict:
-        x = table.value(lam, rho)
-        if x:
-            out[lam] = x
-    return out
+    return expand_in_P(GammaElement.p(rho))
 
 
 def expand_in_P(f: GammaElement) -> dict[StrictPartition, Rat]:

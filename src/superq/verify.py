@@ -13,7 +13,7 @@ from typing import Callable
 
 from .content import hat_p, phi_series_check, psi, psi_direct
 from .explorer import deg1_conjecture_scan, p2_experiment
-from .frakp import expand_p_in_frak, frak_p, frak_p_eval, FrakExpansion
+from .frakp import assemble, expand_p_in_frak, frak_p, frak_p_eval, FrakExpansion
 from .gamma import GammaElement, scalar_product
 from .partitions import (
     OddPartition,
@@ -196,10 +196,7 @@ def check_golden_expansions() -> CheckResult:
         if got != want:
             return CheckResult("4", "", False, f"expansion of p[{rho}] differs")
         # the two construction routes must agree
-        reassembled = sum(
-            (c * frak_p(sig) for sig, c in got.items()), start=GammaElement.zero()
-        )
-        if reassembled != GammaElement.p(rho):
+        if assemble(got) != GammaElement.p(rho):
             return CheckResult("4", "", False, f"reassembly of p[{rho}] differs")
     return CheckResult("4", "", True, "all nine expansions coefficient-exact")
 

@@ -5,7 +5,11 @@ functions behind ``superq verify``) and prints one PASS/FAIL line; any
 mismatch carries the failing detail in the assertion message.
 """
 
-from superq import verify
+from dataclasses import replace
+
+import pytest
+
+from superq import explorer, verify
 
 
 def _report(number: int, title: str, result) -> None:
@@ -69,3 +73,52 @@ def test_criterion_11_conjecture_scan():
     result = verify.check_conjecture_scan()
     _report(11, "deg1 scan to total size 8, zero violations", result)
     assert "pairs" in result.detail  # scanned-pair count is emitted
+
+
+def _plus_one(route):
+    return lambda *args: route(*args) + 1
+
+
+def _negated(route):
+    return lambda *args: -route(*args)
+
+
+def _shifted_p2_values(route):
+    def wrong(max_n):
+        report = route(max_n)
+        return replace(report, values=[(n, v + 1) for n, v in report.values])
+    return wrong
+
+
+def _violating_records(route):
+    def wrong(sigma, tau):
+        return [replace(rec, deg1_lhs=rec.deg1_rhs + 1) for rec in route(sigma, tau)]
+    return wrong
+
+
+# (check, module holding one of its two routes, that route's name, a breakage)
+BROKEN_ROUTES = [
+    ("check_measure_normalization", verify, "prob", _plus_one),
+    ("check_character_integrity", verify, "g", _plus_one),
+    ("check_polynomial_averages", verify, "average_bruteforce", _plus_one),
+    ("check_golden_expansions", verify, "assemble", _negated),
+    ("check_deformed_average_constants", verify, "frak_p_eval", _plus_one),
+    ("check_product_average_orthogonality", verify, "product_average_closed_form",
+     _plus_one),
+    ("check_han_xiong_identity", verify, "average_mu_symbolic_frak", _plus_one),
+    ("check_corner_functions", verify, "psi", _negated),
+    ("check_p2_experiment", verify, "p2_experiment", _shifted_p2_values),
+    ("check_discrepancy_guard", verify, "average_bruteforce", _plus_one),
+    ("check_conjecture_scan", explorer, "structure_constants", _violating_records),
+]
+
+
+@pytest.mark.parametrize("check, module, route, breakage", BROKEN_ROUTES,
+                         ids=[row[0] for row in BROKEN_ROUTES])
+def test_every_check_can_fail(monkeypatch, check, module, route, breakage):
+    monkeypatch.setattr(module, route, breakage(getattr(module, route)))
+    result = getattr(verify, check)()
+    assert result.ok is False
+    assert result.detail
+    if check == "check_conjecture_scan":
+        assert result.detail.startswith("COUNTEREXAMPLE FOUND")

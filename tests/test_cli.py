@@ -15,6 +15,10 @@ from superq.partitions import OddPartition, StrictPartition
 from superq.plancherel import PolynomialInN, average_bruteforce
 from superq.schurq import q
 
+# the benchmark's README commands and their golden stdout, read in place
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import cli_commands  # noqa: E402
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -215,6 +219,11 @@ def test_malformed_psum_is_a_domain_error(capsys):
         "content", "hatF", "--psum", '[{"partition": "1"}]'
     )
     assert '"partition" and "coeff"' in message
+    # an exponent would ask Fraction for a hundred-million-digit integer
+    message = assert_domain_error_in_subprocess(
+        "content", "hatF", "--psum", '[{"partition": "1", "coeff": "1e100000000"}]'
+    )
+    assert "not a rational literal" in message
     for psum in ('"p[1]"', '{"partition": "1", "coeff": "1"}', '["1"]',
                  '[{"partition": 1, "coeff": "1"}]', '[{"partition": "1", "coeff": 2}]'):
         code, out, err = run(capsys, "content", "hatF", "--psum", psum)
@@ -280,6 +289,14 @@ def test_non_evaluator_average_is_a_domain_error(capsys, monkeypatch):
     assert code == 1 and out == ""
     message = json.loads(err)["error"]["message"]
     assert "GammaElement or an OrdinaryPSumExpr" in message
+
+
+@pytest.mark.parametrize("slug, argv", [(slug, argv) for slug, argv, _ in cli_commands.COMMANDS],
+                         ids=[slug for slug, _, _ in cli_commands.COMMANDS])
+def test_cli_goldens(capsys, slug, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == cli_commands.read_golden(slug)
 
 
 def test_python_dash_m_runs_the_cli():
