@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import verify as verify_mod
 from .content import OrdinaryPSumExpr, hat_F, hat_p, phi_series_check, psi, psi_direct
-from .explorer import deg1_conjecture_scan, p2_experiment, structure_constants
+from .explorer import LAB_CAP, deg1_conjecture_scan, p2_experiment, structure_constants
 from .expr import parse_and_eval
 from .factorial import p_star, p_star_eval
 from .frakp import deg1, expand_gamma_in_frak, expand_p_in_frak, frak_p_eval
@@ -47,6 +48,14 @@ PRETTY = ("json", "pretty")
 
 class UsageError(Exception):
     """Options that parse but do not go together; exit 2 like argparse."""
+
+
+def ascii_int(text: str) -> int:
+    """An argparse type: an optionally signed integer in ASCII digits, so
+    that int()'s underscores, spaces and other digit scripts exit 2."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
 
 
 def _emit_json(obj):
@@ -185,7 +194,7 @@ def cmd_phi_check(args):
 
 
 def cmd_lab_scan(args):
-    report = deg1_conjecture_scan(args.max)
+    report = deg1_conjecture_scan(args.max, cap=args.cap)
     _emit_json(report.to_json_obj())
 
 
@@ -197,7 +206,7 @@ def cmd_lab_p2(args):
 def cmd_lab_fstruct(args):
     sigma = OddPartition.from_text(args.sigma)
     tau = OddPartition.from_text(args.tau)
-    records = structure_constants(sigma, tau)
+    records = structure_constants(sigma, tau, cap=args.cap)
     _emit_json({
         "sigma": str(sigma),
         "tau": str(tau),
@@ -241,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("enum", cmd_enum, "list strict and odd partitions of n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=ascii_int)
 
     p = add("g", cmd_g, "number of standard shifted tableaux of a shape")
     p.add_argument("partition")
@@ -251,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu")
 
     p = add("prob", cmd_prob, "shifted Plancherel probability of a shape")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=ascii_int)
     p.add_argument("partition")
     p.add_argument("--mu", default=None)
 
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("chartable", cmd_chartable, "projective character table of degree k",
             ("csv", "json"))
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=ascii_int)
 
     p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
             PRETTY)
@@ -291,39 +300,43 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--symbolic", action="store_true",
                       help="polynomial in n, all three bases")
-    mode.add_argument("--n", type=int, help="exact value at this n")
+    mode.add_argument("--n", type=ascii_int, help="exact value at this n")
 
     content = sub.add_parser("content", help="content evaluations")
     content_sub = content.add_subparsers(dest="content_command", required=True)
     p = add("hatp", cmd_content_hatp, "the supersymmetric function hat-p_k",
             PRETTY, content_sub)
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=ascii_int)
     p = add("hatF", cmd_content_hatf, "hat-F for a power-sum expansion",
             PRETTY, content_sub)
     p.add_argument("--psum", required=True,
                    help='JSON list like [{"partition": "2", "coeff": "1"}]')
 
     p = add("psi", cmd_psi, "Han-Xiong corner function", PRETTY)
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=ascii_int)
     p.add_argument("--lambda", dest="lam", default=None)
 
     p = add("phi-check", cmd_phi_check, "corner generating-series identity check")
     p.add_argument("lam", metavar="lambda")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=ascii_int)
 
     lab = sub.add_parser("lab", help="conjecture laboratory")
     lab_sub = lab.add_subparsers(dest="lab_command", required=True)
     p = add("deg1-scan", cmd_lab_scan, "scan deg1 filtration conjecture",
             group=lab_sub)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=ascii_int, required=True)
+    p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
+                   help="largest --max allowed (default %(default)s)")
     p = add("p2", cmd_lab_p2, "E_n[p2] table and quadratic-fit failure",
             group=lab_sub)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--cap", type=int, default=14)
+    p.add_argument("--max-n", type=ascii_int, default=6)
+    p.add_argument("--cap", type=ascii_int, default=14)
     p = add("fstruct", cmd_lab_fstruct, "structure constants of a product",
             group=lab_sub)
     p.add_argument("sigma")
     p.add_argument("tau")
+    p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
+                   help="largest |sigma| + |tau| allowed (default %(default)s)")
 
     add("verify", cmd_verify, "run the full paper-identity golden suite",
         ("pretty", "json"))

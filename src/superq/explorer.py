@@ -4,17 +4,57 @@ deg1 filtration scan, and the E_n[p_2] non-polynomiality experiment.
 A violation found by the scan is a *result*, not an error: the scan's
 whole purpose is falsification, so violations are returned prominently in
 the report (and the CLI still exits 0).
+
+Structure constants are read off integer spin-character sums, with no
+product in Gamma.  Column orthogonality of the spin characters,
+sum_lambda 2^{-l(lambda)} X^lambda_rho X^lambda_pi = 2^{-l(rho)} z_rho
+delta_{rho,pi} (P. N. Hoffman and J. F. Humphreys, *Projective
+Representations of the Symmetric Groups*, 1992), turns the closed form
+fp_sigma(lambda) = n^{falling |sigma|} X^lambda_{sigma~ u 1s} / g(lambda)
+into: for every m_1-free odd s with |s| <= D = |sigma| + |tau| and n >= |s|,
+
+    A_s(n) = 2^{l(rho_n)} n^{falling |sigma|} n^{falling |tau|} S / (z_{rho_n} 2^n n!)
+           = n^{falling |s|} sum_k c_{s u 1^k} (n - |s|)^{falling k},
+
+where rho_n = s u 1^{n-|s|}, the c are the frak-p coefficients of
+fp_sigma * fp_tau, and S is the integer
+
+    S = sum_{lambda |- n} h(lambda) X^lambda_{sigma~ u 1s} X^lambda_{tau~ u 1s} X^lambda_{rho_n}
+
+with the integer weight h(lambda) = 2^{n-l(lambda)} n! / g(lambda) (n!/g is
+the shifted hook product).  Newton forward differences in m = n - |s| over
+the nodes n = |s|..D+1 read off c_{s u 1^k}; the product has degree D, so
+the difference at the last node must vanish, and a nonzero one raises
+``ArithmeticError``.  This is the spin analogue of Kerov-Olshanski's
+polynomial functions on Young diagrams.  The sums S depend only on
+(sigma~, tau~, n), so pairs that differ in their parts equal to 1 share
+them.  The peeling ``expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))`` is
+the independent route the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
+from math import factorial
 
 from .content import OrdinaryPSumExpr
-from .frakp import expand_gamma_in_frak, frak_p
-from .partitions import OddPartition, enumerate_odd, term_sort_key
+from .partitions import (
+    OddPartition,
+    enumerate_odd,
+    enumerate_strict,
+    falling,
+    g,
+    term_sort_key,
+    z,
+)
 from .plancherel import average_bruteforce
 from .rational import Rat, rat, rat_str
+from .schurq import character_table
+
+# Default bound on |sigma| + |tau| for the lab: the sums at the last node
+# need character_table(cap + 1), which grows fast past it.
+LAB_CAP = 20
 
 
 def _deg1_of(rho: OddPartition) -> int:
@@ -51,16 +91,88 @@ class StructureConstantRecord:
         }
 
 
-def structure_constants(
-    sigma: OddPartition, tau: OddPartition
-) -> list[StructureConstantRecord]:
-    """All nonzero records of the product expansion, in canonical order."""
-    expansion = expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))
-    rhs = _deg1_of(sigma) + _deg1_of(tau)
-    records = [
-        StructureConstantRecord(sigma, tau, rho, value, _deg1_of(rho), rhs)
-        for rho, value in expansion.items()
+def _ones_free(parts: tuple[int, ...]) -> tuple[int, ...]:
+    # parts are weakly decreasing, so the 1s come last
+    return parts[: len(parts) - parts.count(1)]
+
+
+@cache
+def _hook_weights(n: int) -> tuple[int, ...]:
+    """h(lambda) = 2^{n-l(lambda)} n! / g(lambda) for each strict lambda of n,
+    in table row order."""
+    fact = factorial(n)
+    return tuple(2 ** (n - lam.length) * fact // g(lam) for lam in enumerate_strict(n))
+
+
+@cache
+def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
+    """The integers S for every m_1-free odd s with |s| <= n, keyed by the
+    parts of s, zeros dropped; see the module docstring."""
+    table = character_table(n)
+    a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
+    b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
+    weights = [
+        (i, h * x * y)
+        for i, (h, x, y) in enumerate(zip(_hook_weights(n), a, b))
+        if x and y
     ]
+    sums = {}
+    for rho, column in zip(table.odd, table._columns):
+        total = sum(w * column[i] for i, w in weights)
+        if total:
+            sums[_ones_free(rho.parts)] = total
+    return sums
+
+
+def structure_constants(
+    sigma: OddPartition, tau: OddPartition, cap: int = LAB_CAP
+) -> list[StructureConstantRecord]:
+    """All nonzero records of fp_sigma * fp_tau, in canonical order.
+
+    Computed from integer spin-character sums (module docstring); ``cap``
+    bounds |sigma| + |tau| and can be raised freely.
+    """
+    total = sigma.size + tau.size
+    if total > cap:
+        raise ValueError(
+            f"|sigma| + |tau| = {total} exceeds the cap {cap}; raise cap= (--cap) to allow"
+        )
+    key = tuple(sorted((_ones_free(sigma.parts), _ones_free(tau.parts))))
+    top = total + 1  # the degree-check node
+    low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
+    sums = {n: _spin_sums(*key, n) for n in range(low, top + 1)}
+    # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
+    # here over the common denominator (top-|sigma|)! (top-|tau|)!
+    scale = {
+        n: falling(top - sigma.size, top - n) * falling(top - tau.size, top - n)
+        for n in sums
+    }
+    support = {s for by_s in sums.values() for s in by_s if sum(s) <= total}
+    rhs = _deg1_of(sigma) + _deg1_of(tau)
+    records = []
+    for s in support:
+        size = sum(s)
+        nodes = [
+            sums[n].get(s, 0) * scale[n] if n >= low else 0
+            for n in range(size, top + 1)
+        ]
+        for k in range(1, len(nodes)):
+            for j in range(len(nodes) - 1, k - 1, -1):
+                nodes[j] -= nodes[j - 1]
+        if nodes[-1]:
+            raise ArithmeticError(
+                f"fp_{sigma} * fp_{tau}: the degree-check node of s = {s} "
+                f"gives a nonzero difference"
+            )
+        denom = (2**size * z(OddPartition(s))
+                 * factorial(top - sigma.size) * factorial(top - tau.size))
+        for k, diff in enumerate(nodes[:-1]):
+            if diff:
+                rho = OddPartition(s + (1,) * k)
+                value = rat(2 ** len(s) * diff, denom * factorial(k))
+                records.append(
+                    StructureConstantRecord(sigma, tau, rho, value, _deg1_of(rho), rhs)
+                )
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records
 
@@ -93,15 +205,23 @@ class ScanReport:
         }
 
 
-def deg1_conjecture_scan(max_total: int) -> ScanReport:
+def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
     """Scan every unordered pair (sigma, tau) with |sigma| + |tau| <= max_total.
 
     Records violating |rho| + m_1(rho) <= deg1(sigma) + deg1(tau) are
     collected verbatim; an empty list is the expected outcome, a nonempty
-    one is a counterexample to the filtration conjecture.
+    one is a counterexample to the filtration conjecture.  ``cap`` bounds
+    max_total and can be raised freely.
     """
     if max_total < 2:
         raise ValueError("max_total must be at least 2")
+    if max_total > cap:
+        raise ValueError(
+            f"max_total = {max_total} exceeds the cap {cap}; raise cap= (--cap) to allow"
+        )
+    # Each pair goes through the module-level structure_constants with two
+    # arguments; a raised cap is passed on only when the default is too low.
+    route = structure_constants if cap <= LAB_CAP else partial(structure_constants, cap=cap)
     report = ScanReport(max_total=max_total)
     for a in range(1, max_total):
         for sigma in enumerate_odd(a):
@@ -110,7 +230,7 @@ def deg1_conjecture_scan(max_total: int) -> ScanReport:
                     if b == a and term_sort_key(tau) < term_sort_key(sigma):
                         continue
                     report.pairs_scanned += 1
-                    for rec in structure_constants(sigma, tau):
+                    for rec in route(sigma, tau):
                         report.records_checked += 1
                         slack = rec.slack
                         if report.min_slack is None or slack < report.min_slack:

@@ -73,6 +73,11 @@ Node = Union[Lit, Basis, Neg, Add, Sub, Mul, Pow]
 _NAMES = ("hatp", "pstar", "psi", "fp", "p", "Q")  # longest match first
 
 
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit alone also takes "²" and other scripts' digits
+    return ch.isascii() and ch.isdigit()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text.replace("−", "-")  # accept unicode minus
@@ -102,7 +107,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -146,7 +151,7 @@ class _Parser:
             node = self.expr()
             self.expect(")")
             return node
-        if ch.isdigit():
+        if _is_digit(ch):
             numerator = self.integer()
             if self.take("/"):
                 denominator = self.integer()

@@ -71,15 +71,15 @@ class _Partition:
 
     @classmethod
     def from_text(cls, text: str):
-        """Parse comma-separated decreasing parts; "" and "0" mean empty."""
+        """Parse comma-separated decreasing parts in ASCII digits; "" and
+        "0" mean empty."""
         text = text.strip()
         if text in ("", "0"):
             return cls(())
-        try:
-            parts = tuple(int(piece) for piece in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad partition literal {text!r}") from exc
-        return cls(parts)
+        pieces = [piece.strip() for piece in text.split(",")]
+        if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+            raise ValueError(f"bad partition literal {text!r}")
+        return cls(int(piece) for piece in pieces)
 
 
 class StrictPartition(_Partition):

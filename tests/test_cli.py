@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,38 @@ def assert_domain_error_in_subprocess(*argv):
 def test_too_large_input_is_a_domain_error():
     # g_skew recurses once per cell, so a long row exhausts the stack
     assert_domain_error_in_subprocess("gskew", "1500", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lab", "deg1-scan", "--max", "21"),
+    ("lab", "fstruct", "21", "21"),
+])
+def test_lab_cap_is_a_quick_domain_error(argv):
+    start = time.perf_counter()
+    message = assert_domain_error_in_subprocess(*argv)
+    assert time.perf_counter() - start < 2
+    assert "exceeds the cap 20" in message and "--cap" in message
+
+
+def test_integers_are_ascii_digits_only(capsys):
+    for literal in ("1_0", "\u0663", "+3", "3,1_1"):
+        code, out, err = run(capsys, "g", literal)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"] == f"bad partition literal {literal!r}"
+    code, out, err = run(capsys, "lab", "fstruct", "3,1", "1_1")
+    assert code == 1 and "bad partition literal" in err
+    code, out, _ = run(capsys, "g", "3, 1")
+    assert (code, out) == (0, "2\n")
+    for expr, pos in (("\u00b2", 0), ("p[1_1]", 3), ("p[\u0663]", 2), ("2^\u00b2", 2)):
+        code, out, err = run(capsys, "frak", "deg1", expr)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(f"at position {pos}:")
+    for argv in (["enum", "1_0"], ["chartable", "\u0663"], ["enum", " 3"],
+                 ["lab", "deg1-scan", "--max", "1_0"], ["avg", "--f", "p[1]", "--n", "1_0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid integer" in capsys.readouterr().err
 
 
 def test_malformed_psum_is_a_domain_error(capsys):

@@ -1,11 +1,14 @@
 import pytest
 
+from superq import explorer
 from superq.explorer import (
+    StructureConstantRecord,
     deg1_conjecture_scan,
     p2_experiment,
     structure_constants,
 )
-from superq.partitions import OddPartition, enumerate_odd
+from superq.frakp import expand_gamma_in_frak, frak_p
+from superq.partitions import OddPartition, enumerate_odd, term_sort_key
 from superq.plancherel import PolynomialInN, product_average_check
 from superq.rational import rat
 
@@ -35,6 +38,64 @@ def test_structure_constants_bookkeeping():
         assert rec.value != 0
         assert rec.deg1_lhs == rec.rho.size + rec.rho.multiplicity(1)
         assert rec.deg1_rhs == 3 + (4 + 1)
+
+
+def _peeled_records(sigma, tau):
+    # the independent route: expand the Gamma product by peeling
+    deg1 = explorer._deg1_of
+    records = [
+        StructureConstantRecord(sigma, tau, rho, value, deg1(rho), deg1(sigma) + deg1(tau))
+        for rho, value in expand_gamma_in_frak(frak_p(sigma) * frak_p(tau)).items()
+    ]
+    records.sort(key=lambda rec: term_sort_key(rec.rho))
+    return records
+
+
+def test_character_sums_match_the_peeling_up_to_total_12():
+    pairs = 0
+    for a in range(0, 7):
+        for sigma in enumerate_odd(a):
+            for b in range(a, 12 - a + 1):
+                for tau in enumerate_odd(b):
+                    assert structure_constants(sigma, tau) == _peeled_records(sigma, tau)
+                    pairs += 1
+    assert pairs == 317
+
+
+def test_scan_to_14_counts():
+    # the counts the Gamma-product peeling gave for the same scan
+    report = deg1_conjecture_scan(14)
+    assert report.pairs_scanned == 477
+    assert report.records_checked == 4391
+    assert report.ok and report.min_slack == 0
+
+
+def test_corrupt_node_trips_the_degree_check(monkeypatch):
+    route = explorer._spin_sums
+
+    def corrupted(sigma_t, tau_t, n):
+        sums = dict(route(sigma_t, tau_t, n))
+        if n == 4:
+            sums[(3,)] = sums.get((3,), 0) + 1
+        return sums
+
+    monkeypatch.setattr(explorer, "_spin_sums", corrupted)
+    with pytest.raises(ArithmeticError, match="degree-check node"):
+        structure_constants(OddPartition((3,)), OddPartition((3,)))
+
+
+def test_lab_cap():
+    with pytest.raises(ValueError, match="exceeds the cap 20"):
+        structure_constants(OddPartition((21,)), OddPartition((1,)))
+    with pytest.raises(ValueError, match="exceeds the cap 20"):
+        deg1_conjecture_scan(21)
+    with pytest.raises(ValueError, match="exceeds the cap 5"):
+        deg1_conjecture_scan(6, cap=5)
+    with pytest.raises(ValueError, match="exceeds the cap 5"):
+        structure_constants(OddPartition((3,)), OddPartition((3,)), cap=5)
+    # the cap is a flag, not a hard limit
+    assert len(structure_constants(OddPartition((21,)), OddPartition((1,)), cap=22)) == 2
+    assert deg1_conjecture_scan(4, cap=30) == deg1_conjecture_scan(4)
 
 
 def test_consistency_with_product_averages():

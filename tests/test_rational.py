@@ -44,11 +44,17 @@ def test_is_integral():
     assert not is_integral(rat(1, 3))
 
 
-def test_forced_fallback_backend():
-    # SUPERQ_RATIONAL named a second backend once; any value is now ignored
+def _env_with_src():
+    # a child interpreter imports this checkout's superq, installed or not
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_forced_fallback_backend():
+    # SUPERQ_RATIONAL named a second backend once; any value is now ignored
+    env = _env_with_src()
     for value in ("fractions", "gmpy2", "pure"):
         env["SUPERQ_RATIONAL"] = value
         proc = subprocess.run([sys.executable, "-m", "superq", "g", "4,1"],
@@ -65,7 +71,8 @@ def test_fallback_computes_same_values():
         "print(average_symbolic(GammaElement.p(3) ** 2))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=_env_with_src(),
     )
     assert out.stdout.strip() == "9*n^(4) + 54*n^(3) + 31*n^(2) + n"
 
