@@ -1,14 +1,21 @@
-"""Factorial Schur P*-functions and the lowering isomorphism.
+"""Factorial Schur P*-functions and the isomorphism Psi: P_lambda -> P*_lambda.
 
-P*_mu is pinned down two independent ways: the closed-form evaluation
-P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} / g^lambda, and the
-p-basis element obtained by inverting the unitriangular Stirling system
+P_lambda = sum_j sign(j) T(lambda_1, j_1) ... T(lambda_l, j_l) P*_{sort j},
 
-    P_lambda = sum_j T(lambda_1, j_1) ... T(lambda_l, j_l) P*_{(j_1..j_l)},
+where j runs over index tuples with 1 <= j_i <= lambda_i, a tuple with
+repeats vanishes, and sign(j) is the sign of the permutation sorting j into
+a strict partition.  That is the l-th exterior power of the unitriangular
+matrix T = (T(k, j)) of Stirling numbers of the second kind, so its inverse
+is the exterior power of T^{-1} = (s(k, j)), the signed Stirling numbers of
+the first kind:
 
-where an index tuple with repeats vanishes and otherwise sorts to a strict
-partition with the sign of the permutation.  The isomorphism Psi maps
-P_lambda to P*_lambda; its inverse extracts top-degree terms.
+    P*_mu = sum_j sign(j) s(mu_1, j_1) ... s(mu_l, j_l) P_{sort j}.
+
+``p_star`` is the s-system applied to the P-functions, and
+``psi_iso_inverse`` the T-system applied to the P-coefficients of an
+element.  The closed-form evaluation
+P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} / g^lambda is the
+independent route that pins P*_mu down.
 """
 
 from __future__ import annotations
@@ -20,10 +27,11 @@ from typing import NamedTuple, Optional
 from .gamma import GammaElement, add_into, add_scaled
 from .partitions import (
     StrictPartition,
+    _stirling1_row,
+    _stirling2_row,
     falling,
     g,
     g_skew,
-    stirling2,
 )
 from .rational import Rat, rat
 from .schurq import expand_in_P, p_fn
@@ -53,30 +61,35 @@ def normalize_index(js) -> SignedIndex:
     return SignedIndex(mu, -1 if inversions % 2 else 1)
 
 
-@cache
-def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
-    """Integer coefficients of P_lambda in the P*-basis (the Stirling system)."""
+def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition, int]:
+    # Column lam of the l-th exterior power of the unitriangular matrix whose
+    # row k is stirling_row(k): sum_j sign(j) prod_i row(lam_i)[j_i] e_{sort j}.
     acc: dict[StrictPartition, int] = {}
-    ranges = [range(1, part + 1) for part in lam.parts]
-    for js in itertools.product(*ranges):
+    rows = [stirling_row(part) for part in lam.parts]
+    for js in itertools.product(*(range(1, part + 1) for part in lam.parts)):
         idx = normalize_index(js)
         if idx.sign == 0:
             continue
         weight = idx.sign
-        for part, j in zip(lam.parts, js):
-            weight *= stirling2(part, j)
+        for row, j in zip(rows, js):
+            weight *= row[j]
         add_into(acc, idx.partition, weight)
     return acc
 
 
 @cache
+def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
+    """Integer coefficients of P_lambda in the P*-basis (the T-system)."""
+    return _exterior_power(lam, _stirling2_row)
+
+
+@cache
 def p_star(mu: StrictPartition) -> GammaElement:
-    """P*_mu in the p-basis, by unitriangular inversion of the Stirling system."""
-    acc = dict(p_fn(mu)._coeffs)
-    for nu, c in p_to_pstar_coeffs(mu).items():
-        if nu != mu:
-            add_scaled(acc, p_star(nu), -c)
-    return GammaElement._wrap(acc)
+    """P*_mu in the p-basis, from its P-coefficients (the s-system)."""
+    out: dict = {}
+    for nu, c in _exterior_power(mu, _stirling1_row).items():
+        add_scaled(out, p_fn(nu), c)
+    return GammaElement._wrap(out)
 
 
 def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
@@ -96,13 +109,13 @@ def psi_iso(f: GammaElement) -> GammaElement:
 
 
 def psi_iso_inverse(f: GammaElement) -> GammaElement:
-    """Inverse isomorphism, by iterated top-degree extraction."""
-    result: dict = {}
-    remainder = dict(f._coeffs)
-    while remainder:
-        d = max(rho.size for rho in remainder)
-        top = {rho: c for rho, c in remainder.items() if rho.size == d}
-        result.update(top)
-        for lam, c in expand_in_P(GammaElement._wrap(top)).items():
-            add_scaled(remainder, p_star(lam), -c)
-    return GammaElement._wrap(result)
+    """The inverse isomorphism: P-coefficients through the T-system, so
+    f = sum_lambda b_lambda P*_lambda maps to sum_lambda b_lambda P_lambda."""
+    coeffs: dict = {}
+    for nu, c in expand_in_P(f).items():
+        for lam, t in p_to_pstar_coeffs(nu).items():
+            add_into(coeffs, lam, c * t)
+    out: dict = {}
+    for lam, b in coeffs.items():
+        add_scaled(out, p_fn(lam), b)
+    return GammaElement._wrap(out)

@@ -1,8 +1,12 @@
 """The deformed power-sum basis frak-p and its basis changes.
 
-frak_p(rho) = sum_{lambda} X^lambda_rho P*_lambda has top-degree term
-p_rho, evaluates in closed form through a single character value, and is
-the basis in which shifted Plancherel averages become trivial to read off.
+frak_p(rho) = sum_{lambda} X^lambda_rho P*_lambda = Psi(p_rho), the image
+of p_rho under the isomorphism Psi: P_lambda -> P*_lambda.  It has
+top-degree term p_rho, evaluates in closed form through a single character
+value, and is the basis in which shifted Plancherel averages become trivial
+to read off.  Because Psi(p_sigma) = frak_p(sigma), the frak-p coefficients
+of p_rho are the p-coefficients of Psi^{-1}(p_rho); the top-degree peeling
+of ``expand_gamma_in_frak`` is the second, independent route.
 A ``FrakExpansion`` stores coefficients in this basis; it deliberately is
 not a ``GammaElement`` so the two bases cannot be mixed up.
 """
@@ -11,16 +15,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .factorial import p_star, p_to_pstar_coeffs
-from .gamma import GammaElement, SparseTerms, add_into, add_scaled
-from .partitions import (
-    OddPartition,
-    StrictPartition,
-    enumerate_odd,
-    falling,
-    g,
-    z,
-)
+from .factorial import psi_iso, psi_iso_inverse
+from .gamma import GammaElement, SparseTerms, add_scaled
+from .partitions import OddPartition, StrictPartition, falling, g
 from .rational import Rat, rat
 from .schurq import character_table
 
@@ -52,14 +49,8 @@ def deg1(expansion: FrakExpansion) -> int:
 
 @cache
 def frak_p(rho: OddPartition) -> GammaElement:
-    """frak_p(rho) = sum over |lambda| = |rho| of X^lambda_rho P*_lambda."""
-    table = character_table(rho.size)
-    out: dict[OddPartition, Rat] = {}
-    for lam in table.strict:
-        x = table.value(lam, rho)
-        if x:
-            add_scaled(out, p_star(lam), x)
-    return GammaElement._wrap(out)
+    """frak_p(rho) = Psi(p_rho) = sum over |lambda| = |rho| of X^lambda_rho P*_lambda."""
+    return psi_iso(GammaElement.p(rho))
 
 
 def frak_p_eval(rho: OddPartition, lam: StrictPartition) -> Rat:
@@ -76,32 +67,9 @@ def frak_p_eval(rho: OddPartition, lam: StrictPartition) -> Rat:
 
 
 def expand_p_in_frak(rho: OddPartition) -> FrakExpansion:
-    """Expand p_rho in the frak-p basis by the three-step chain
-    p -> P -> P* -> frak-p."""
-    k = rho.size
-    table = character_table(k)
-
-    # step 1: p_rho = sum_lambda X^lambda_rho P_lambda
-    # step 2: each P_lambda into the P*-basis via the Stirling system
-    pstar_coeffs: dict[StrictPartition, Rat] = {}
-    for lam in table.strict:
-        x = table.value(lam, rho)
-        if not x:
-            continue
-        for mu, c in p_to_pstar_coeffs(lam).items():
-            add_into(pstar_coeffs, mu, x * c)
-
-    # step 3: P*_mu = sum_sigma 2^{l(sigma)-l(mu)} z_sigma^{-1} X^mu_sigma fp_sigma
-    out: dict[OddPartition, Rat] = {}
-    for mu, c in pstar_coeffs.items():
-        mu_table = character_table(mu.size)
-        for sigma in enumerate_odd(mu.size):
-            x = mu_table.value(mu, sigma)
-            if not x:
-                continue
-            weight = c * x * rat(2 ** sigma.length, z(sigma) * 2**mu.length)
-            add_into(out, sigma, weight)
-    return FrakExpansion._wrap(out)
+    """Expand p_rho in the frak-p basis: since Psi(p_sigma) = frak_p(sigma),
+    the coefficients are the p-coefficients of Psi^{-1}(p_rho)."""
+    return FrakExpansion._wrap(psi_iso_inverse(GammaElement.p(rho))._coeffs)
 
 
 def expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:

@@ -1,7 +1,12 @@
 """Strict, odd, and ordinary integer partitions and their shifted-diagram
 combinatorics: cells and contents, inner/outer corners, standard-tableau
 counts g and g^{lambda/mu}, plus the small number-theoretic helpers
-(z_rho, falling factorials, Stirling numbers of the second kind).
+(z_rho, falling factorials, and the rows of the two Stirling matrices:
+T(k, j) of the second kind and the signed s(k, j) of the first kind, which
+are inverse unitriangular matrices).
+
+Skew counts g^{lambda/mu} come from a forward sweep that adds one cell per
+step to every shape and sums the counts arriving at the same shape.
 
 Partitions are immutable, hashable, and typed: a ``StrictPartition`` never
 compares equal to an ``OddPartition`` with the same parts, so the three
@@ -274,23 +279,42 @@ def add_cell(lam: StrictPartition, cell: Cell) -> StrictPartition:
 # --- standard shifted tableaux ----------------------------------------------
 
 
+def _grow(layer: dict[tuple, int], inside: tuple | None = None) -> dict[tuple, int]:
+    # One step of the forward sweep: add every addable cell to each shape
+    # and sum the counts that arrive at the same tuple; with `inside`, keep
+    # only the shapes whose diagram sits inside that of `inside`.
+    grown: dict[tuple, int] = {}
+    for parts, count in layer.items():
+        above = None
+        for i, part in enumerate(parts):
+            if (above is None or above > part + 1) and (
+                    inside is None or inside[i] > part):
+                shape = (*parts[:i], part + 1, *parts[i + 1:])
+                grown[shape] = grown.get(shape, 0) + count
+            above = part
+        if (not parts or parts[-1] > 1) and (
+                inside is None or len(inside) > len(parts)):
+            shape = (*parts, 1)
+            grown[shape] = grown.get(shape, 0) + count
+    return grown
+
+
 @cache
 def _g_skew(lam_parts: tuple, mu_parts: tuple) -> int:
     if not _contains(lam_parts, mu_parts):
         return 0
-    if lam_parts == mu_parts:
-        return 1
-    lam = StrictPartition(lam_parts)
-    total = 0
-    for cell in outer_corners(lam):
-        smaller = remove_cell(lam, cell).parts
-        if _contains(smaller, mu_parts):
-            total += _g_skew(smaller, mu_parts)
-    return total
+    layer = {mu_parts: 1}
+    for _ in range(sum(lam_parts) - sum(mu_parts)):
+        layer = _grow(layer, lam_parts)
+    return layer.get(lam_parts, 0)
 
 
 def g_skew(lam: StrictPartition, mu: StrictPartition) -> int:
-    """Number of standard tableaux of shifted shape lam/mu (0 if mu not in lam)."""
+    """Number of standard tableaux of shifted shape lam/mu (0 if mu not in lam).
+
+    The forward sweep of ``skew_counts``, keeping only the shapes inside
+    lam; the corner-removal recursion is its test oracle.
+    """
     return _g_skew(lam.parts, mu.parts)
 
 
@@ -300,23 +324,11 @@ def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
 
     One forward sweep over part tuples: start from {mu: 1}; at each of the
     n steps, add every addable cell of each shape and sum the counts that
-    arrive at the same tuple.  No partition objects and no memo; the
-    recursive ``g_skew`` is its test oracle.
+    arrive at the same tuple.  No partition objects and no memo.
     """
     layer = {mu.parts: 1}
     for _ in range(n):
-        grown: dict[tuple, int] = {}
-        for parts, count in layer.items():
-            above = None
-            for i, part in enumerate(parts):
-                if above is None or above > part + 1:
-                    shape = (*parts[:i], part + 1, *parts[i + 1:])
-                    grown[shape] = grown.get(shape, 0) + count
-                above = part
-            if not parts or parts[-1] > 1:
-                shape = (*parts, 1)
-                grown[shape] = grown.get(shape, 0) + count
-        layer = grown
+        layer = _grow(layer)
     return layer
 
 
@@ -325,7 +337,8 @@ def g(lam: StrictPartition) -> int:
 
     Computed by the shifted hook formula (Schur 1911; Thrall 1952):
     g(lam) = n! prod_{i<j} (lam_i - lam_j) / (prod_i lam_i! prod_{i<j} (lam_i + lam_j)),
-    in integers; the recursive ``g_skew(lam, empty)`` is its test oracle.
+    in integers; the corner-removal recursion for g^{lam/empty} is its test
+    oracle.
     """
     return _g_parts(lam.parts)
 
@@ -369,14 +382,23 @@ def falling(x, k: int):
 
 
 @cache
+def _stirling1_row(k: int) -> tuple[int, ...]:
+    # s(k, j) for j = 0..k, the signed Stirling numbers of the first kind:
+    # the monomial coefficients (low to high) of n(n-1)...(n-k+1), by
+    # s(i + 1, j) = s(i, j - 1) - i s(i, j).
+    row = [1]
+    for i in range(k):
+        row = [a - i * b for a, b in zip([0] + row, row + [0])]
+    return tuple(row)
+
+
+@cache
 def _stirling2_row(k: int) -> tuple[int, ...]:
-    # T(k, j) for j = 0..k, with T(0, 0) = 1.
-    if k == 0:
-        return (1,)
-    prev = _stirling2_row(k - 1)
-    row = [0] * (k + 1)
-    for j in range(1, k + 1):
-        row[j] = (j * prev[j] if j < k else 0) + prev[j - 1]
+    # T(k, j) for j = 0..k, with T(0, 0) = 1: the falling-factorial
+    # coefficients of n^k, by T(i + 1, j) = T(i, j - 1) + j T(i, j).
+    row = [1]
+    for _ in range(k):
+        row = [a + j * b for j, (a, b) in enumerate(zip([0] + row, row + [0]))]
     return tuple(row)
 
 

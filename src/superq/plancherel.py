@@ -12,8 +12,8 @@ sum_mu a_mu p_mu(lambda) to an integer total, and the one rational
 division per call is by D * n! (by D * (n + m)! * g(mu) / m! for E_{mu,n},
 whose skew counts come from one forward sweep, ``skew_counts``).  Their
 oracles are the per-lambda sums of ``prob`` (or ``prob_mu``) times
-``f.evaluate(lambda)`` in the tests, and the recursive ``g_skew`` for the
-sweep.
+``f.evaluate(lambda)`` in the tests, and the corner-removal recursion for
+the sweep.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
@@ -30,7 +30,6 @@ frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
 from __future__ import annotations
 
 import operator
-from functools import cache
 from math import factorial, lcm
 from typing import Mapping
 
@@ -41,6 +40,7 @@ from .partitions import (
     OddPartition,
     StrictPartition,
     _g_parts,
+    _stirling1_row,
     _stirling2_row,
     _strict_tuples,
     falling,
@@ -50,17 +50,6 @@ from .partitions import (
     z,
 )
 from .rational import Rat, ZERO, parse_rat, rat, rat_str
-
-
-@cache
-def _falling_monomial(j: int) -> tuple[int, ...]:
-    # Integer monomial coefficients (low to high) of n(n-1)...(n-j+1).
-    coeffs = [1]
-    for i in range(j):
-        shifted = [0] + coeffs
-        coeffs = [shifted[m] - i * (coeffs[m] if m < len(coeffs) else 0)
-                  for m in range(len(shifted))]
-    return tuple(coeffs)
 
 
 class PolynomialInN(SparseTerms):
@@ -114,7 +103,7 @@ class PolynomialInN(SparseTerms):
     def monomial_coeffs(self) -> dict[int, Rat]:
         out: dict[int, Rat] = {}
         for j, c in self._coeffs.items():
-            for m, t in enumerate(_falling_monomial(j)):
+            for m, t in enumerate(_stirling1_row(j)):
                 if t:
                     add_into(out, m, c * t)
         return out

@@ -195,7 +195,7 @@ def check_golden_expansions() -> CheckResult:
         want = FrakExpansion(expected)
         if got != want:
             return CheckResult("4", "", False, f"expansion of p[{rho}] differs")
-        # the two construction routes must agree
+        # Psi^{-1} through the T-system against Psi through the s-system
         if assemble(got) != GammaElement.p(rho):
             return CheckResult("4", "", False, f"reassembly of p[{rho}] differs")
     return CheckResult("4", "", True, "all nine expansions coefficient-exact")

@@ -211,8 +211,15 @@ def assert_domain_error_in_subprocess(*argv):
 
 
 def test_too_large_input_is_a_domain_error():
-    # g_skew recurses once per cell, so a long row exhausts the stack
-    assert_domain_error_in_subprocess("gskew", "1500", "1")
+    # the expression parser recurses once per parenthesis, so deep nesting
+    # exhausts the stack
+    nested = "(" * 3000 + "p[1]" + ")" * 3000
+    message = assert_domain_error_in_subprocess("frak", "deg1", nested)
+    assert message == "input too large (RecursionError)"
+
+
+def test_gskew_on_a_long_row(capsys):
+    assert run(capsys, "gskew", "1500", "1") == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("argv", [

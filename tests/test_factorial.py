@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
+from recursive_oracle import oracle_p_star
 from superq.factorial import (
     normalize_index,
     p_star,
@@ -54,6 +55,13 @@ def test_p_star_examples():
     assert p_star(StrictPartition(())) == GammaElement.one()
 
 
+def test_p_star_equals_recursive_inversion():
+    # the s-system closed form against the recursive inversion of the T-system
+    for m in range(11):
+        for mu in enumerate_strict(m):
+            assert p_star(mu) == oracle_p_star(mu)
+
+
 def test_p_star_eval_examples():
     assert p_star_eval(StrictPartition((3,)), StrictPartition((2, 1))) == 0
     for n in range(7):
@@ -101,7 +109,7 @@ def test_psi_iso_examples():
 
 
 def test_psi_iso_maps_p_to_pstar_basiswise():
-    for m in range(8):
+    for m in range(10):
         for mu in enumerate_strict(m):
             assert psi_iso(p_fn(mu)) == p_star(mu)
             assert psi_iso_inverse(p_star(mu)) == p_fn(mu)

@@ -108,8 +108,9 @@ def test_expand_p_in_frak_examples():
         assert got == FrakExpansion(expected)
 
 
-def test_three_step_expansion_inverts_assembly():
-    # standing mutual-validation test: assemble(expand_p_in_frak(rho)) == p_rho
+def test_expansion_inverts_assembly():
+    # Psi^{-1} through the T-system against Psi through the s-system:
+    # assemble(expand_p_in_frak(rho)) == p_rho
     for k in range(8):
         for rho in enumerate_odd(k):
             assert assemble(expand_p_in_frak(rho)) == p(rho)
@@ -123,7 +124,8 @@ def test_expand_gamma_examples():
 
 
 def test_expansions_agree_between_routes():
-    for k in range(8):
+    # Psi^{-1}(p_rho) through the T-system against the frak-p peeling
+    for k in range(11):
         for rho in enumerate_odd(k):
             assert expand_gamma_in_frak(p(rho)) == expand_p_in_frak(rho)
 

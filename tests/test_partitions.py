@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from recursive_oracle import oracle_g_skew
 from superq.partitions import (
     Cell,
     OddPartition,
@@ -227,7 +228,7 @@ def test_g_equals_recursive_g_skew():
     empty = StrictPartition(())
     for n in range(26):
         for lam in enumerate_strict(n):
-            assert g(lam) == g_skew(lam, empty)
+            assert g(lam) == oracle_g_skew(lam, empty)
 
 
 def test_skew_sweep_equals_recursive_g_skew():
@@ -235,7 +236,7 @@ def test_skew_sweep_equals_recursive_g_skew():
     for m in range(15):
         for mu in enumerate_strict(m):
             for n in range(15 - m):
-                want = {lam.parts: g_skew(lam, mu)
+                want = {lam.parts: oracle_g_skew(lam, mu)
                         for lam in enumerate_strict(m + n) if contains(lam, mu)}
                 assert skew_counts(mu, n) == want
 
@@ -245,6 +246,12 @@ def test_g_on_large_shapes():
     for n in range(3, 2001):
         assert g(StrictPartition((n,))) == 1
         assert g(StrictPartition((n - 1, 1))) == n - 2
+
+
+def test_g_skew_on_a_long_row():
+    # the sweep loops once per cell, so a long row does not reach the stack limit
+    assert g_skew(StrictPartition((1500,)), StrictPartition((1,))) == 1
+    assert g_skew(StrictPartition((1500, 1)), StrictPartition((1,))) == 1499
 
 
 def test_squared_tableaux_identity():
@@ -293,3 +300,10 @@ def test_stirling2_examples():
         stirling2(3, 0)
     with pytest.raises(ValueError):
         stirling2(2, 3)
+
+
+def test_stirling2_on_a_long_row():
+    # the row is built iteratively, so its index is not bounded by the stack
+    assert stirling2(1500, 1) == 1
+    assert stirling2(1500, 1500) == 1
+    assert stirling2(1500, 1499) == 1500 * 1499 // 2
