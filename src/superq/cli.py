@@ -106,7 +106,13 @@ def cmd_qfunc(args):
     _emit_element(args, q(StrictPartition.from_text(args.partition)))
 
 
+def _check_cap(name, value, cap):
+    if value > cap:
+        raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise --cap to allow")
+
+
 def cmd_chartable(args):
+    _check_cap("k", args.k, args.cap)
     table = character_table(args.k)
     if args.format == "json":
         _emit_json({
@@ -127,7 +133,9 @@ def cmd_chartable(args):
 
 
 def cmd_pstar(args):
-    _emit_element(args, p_star(StrictPartition.from_text(args.partition)))
+    mu = StrictPartition.from_text(args.partition)
+    _check_cap("|mu|", mu.size, args.cap)
+    _emit_element(args, p_star(mu))
 
 
 def cmd_pstar_eval(args):
@@ -271,10 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chartable", cmd_chartable, "projective character table of degree k",
             ("csv", "json"))
     p.add_argument("k", type=ascii_int)
+    p.add_argument("--cap", type=ascii_int, default=30,
+                   help="largest k allowed (default %(default)s: about 2 s "
+                        "and 80 MB; each 2 added to k multiplies both by "
+                        "about 1.7)")
 
     p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
             PRETTY)
     p.add_argument("partition")
+    p.add_argument("--cap", type=ascii_int, default=30,
+                   help="largest |mu| allowed (default %(default)s: about 2 s "
+                        "for the costliest mu; each 2 added to |mu| multiplies "
+                        "that by about 1.7)")
 
     p = add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)")
     p.add_argument("mu")

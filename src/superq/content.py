@@ -16,9 +16,9 @@ with the generating-series identity relating them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache
 from math import comb, factorial
-from typing import Iterable
 
 from .gamma import GammaElement, SparseTerms, _power_sum_value, add_scaled
 from .partitions import (

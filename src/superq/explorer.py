@@ -34,7 +34,7 @@ the independent route the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, partial
 from math import factorial
 
@@ -61,16 +61,12 @@ def _deg1_of(rho: OddPartition) -> int:
     return rho.size + rho.multiplicity(1)
 
 
-@dataclass(frozen=True)
-class StructureConstantRecord:
-    """One nonzero coefficient f^rho_{sigma,tau} of frak_p(sigma)*frak_p(tau)."""
+class StructureConstantRecord(namedtuple(
+        "StructureConstantRecord", "sigma tau rho value deg1_lhs deg1_rhs")):
+    """One nonzero coefficient f^rho_{sigma,tau} of frak_p(sigma)*frak_p(tau):
+    the value (a Rat) of fp_rho, with deg1(rho) and deg1(sigma) + deg1(tau)."""
 
-    sigma: OddPartition
-    tau: OddPartition
-    rho: OddPartition
-    value: Rat
-    deg1_lhs: int
-    deg1_rhs: int
+    __slots__ = ()
 
     @property
     def slack(self) -> int:
@@ -177,16 +173,36 @@ def structure_constants(
     return records
 
 
-@dataclass
 class ScanReport:
-    """Outcome of a deg1 filtration scan over all products up to a total size."""
+    """Outcome of a deg1 filtration scan over all products up to a total size.
 
-    max_total: int
-    pairs_scanned: int = 0
-    records_checked: int = 0
-    min_slack: int | None = None
-    max_slack: int | None = None
-    violations: list[StructureConstantRecord] = field(default_factory=list)
+    Mutable: the scan fills it in as it goes.
+    """
+
+    def __init__(
+        self,
+        max_total: int,
+        pairs_scanned: int = 0,
+        records_checked: int = 0,
+        min_slack: int | None = None,
+        max_slack: int | None = None,
+        violations: list[StructureConstantRecord] | None = None,
+    ):
+        self.max_total = max_total
+        self.pairs_scanned = pairs_scanned
+        self.records_checked = records_checked
+        self.min_slack = min_slack
+        self.max_slack = max_slack
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     @property
     def ok(self) -> bool:
@@ -242,14 +258,12 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
     return report
 
 
-@dataclass
-class P2Report:
-    """Exact E_n[p_2] values and the failed degree-2 interpolation."""
+class P2Report(namedtuple("P2Report", "max_n values fit_nodes residuals")):
+    """Exact E_n[p_2] values and the failed degree-2 interpolation: values
+    and residuals are lists of (n, Rat) pairs, fit_nodes the three n of the
+    quadratic."""
 
-    max_n: int
-    values: list[tuple[int, Rat]]
-    fit_nodes: tuple[int, int, int]
-    residuals: list[tuple[int, Rat]]
+    __slots__ = ()
 
     @property
     def polynomial_fit_fails(self) -> bool:

@@ -8,15 +8,14 @@ parsing, so ``p[2]`` fails immediately with a position and an explanation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .content import hat_p, psi
 from .factorial import p_star
 from .frakp import frak_p
 from .gamma import GammaElement
 from .partitions import OddPartition, StrictPartition
-from .rational import Rat, rat
+from .rational import rat
 from .schurq import q
 
 
@@ -28,47 +27,35 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Rat
+class _Node(tuple):
+    """Immutable syntax-tree nodes; two nodes are equal only when they have
+    the same type and equal fields, so Add(a, b) != Mul(a, b)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Basis:
-    kind: str  # p | fp | hatp | psi | pstar | Q
-    payload: Union[OddPartition, StrictPartition, int]
+def _node(name: str, fields: str) -> type:
+    return type(name, (_Node, namedtuple(name, fields)), {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Lit, Basis, Neg, Add, Sub, Mul, Pow]
+Lit = _node("Lit", "value")  # a Rat
+# kind: p | fp | hatp | psi | pstar | Q; payload: an OddPartition, a
+# StrictPartition or an int
+Basis = _node("Basis", "kind payload")
+Neg = _node("Neg", "operand")
+Add = _node("Add", "left right")
+Sub = _node("Sub", "left right")
+Mul = _node("Mul", "left right")
+Pow = _node("Pow", "base exponent")
+Node = Lit | Basis | Neg | Add | Sub | Mul | Pow
 
 _NAMES = ("hatp", "pstar", "psi", "fp", "p", "Q")  # longest match first
 

@@ -21,8 +21,8 @@ independent route that pins P*_mu down.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple, Optional
 
 from .gamma import GammaElement, add_into, add_scaled
 from .partitions import (
@@ -37,11 +37,11 @@ from .rational import Rat, rat
 from .schurq import expand_in_P, p_fn
 
 
-class SignedIndex(NamedTuple):
-    """A sorted index tuple with its sign; (None, 0) when entries repeat."""
+class SignedIndex(namedtuple("SignedIndex", "partition sign")):
+    """A sorted index tuple, as a StrictPartition, with its sign; (None, 0)
+    when entries repeat."""
 
-    partition: Optional[StrictPartition]
-    sign: int
+    __slots__ = ()
 
 
 def normalize_index(js) -> SignedIndex:

@@ -15,7 +15,7 @@ deformed scalar product is <p_rho, p_sigma> = 2^{-l(rho)} z_rho delta.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .partitions import OddPartition, StrictPartition, display_sort_key, z
 from .rational import Rat, ZERO, rat, rat_str, parse_rat

@@ -15,16 +15,16 @@ index families cannot be confused as dictionary keys.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache
-from math import factorial
-from typing import Iterable, NamedTuple
+from math import comb, factorial
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", "row col")):
     """A box (row, col) of a shifted diagram, 1-based."""
 
-    row: int
-    col: int
+    __slots__ = ()
 
     @property
     def content(self) -> int:
@@ -403,7 +403,9 @@ def _stirling2_row(k: int) -> tuple[int, ...]:
 
 
 def stirling2(k: int, j: int) -> int:
-    """Stirling number of the second kind T(k, j), for 1 <= j <= k."""
+    """Stirling number of the second kind T(k, j), for 1 <= j <= k, by
+    inclusion-exclusion: j! T(k, j) = sum_i (-1)^(j-i) C(j, i) i^k."""
     if not (1 <= j <= k):
         raise ValueError(f"stirling2 needs 1 <= j <= k, got k={k}, j={j}")
-    return _stirling2_row(k)[j]
+    total = sum((-1) ** (j - i) * comb(j, i) * i**k for i in range(1, j + 1))
+    return total // factorial(j)

@@ -30,8 +30,8 @@ frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from math import factorial, lcm
-from typing import Mapping
 
 from .content import OrdinaryPSumExpr
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde

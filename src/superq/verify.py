@@ -8,8 +8,8 @@ keyed by where the identity appears in the source material.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .content import hat_p, phi_series_check, psi, psi_direct
 from .explorer import deg1_conjecture_scan, p2_experiment
@@ -37,12 +37,8 @@ from .rational import rat
 from .schurq import character_table, p_fn, q
 
 
-@dataclass
-class CheckResult:
-    key: str
-    description: str
-    ok: bool
-    detail: str = ""
+# One check's outcome; run_all fills in key and description from CHECKS.
+CheckResult = namedtuple("CheckResult", "key description ok detail", defaults=("",))
 
 
 def _m1_free_partitions(max_size: int) -> list[OddPartition]:
@@ -381,10 +377,5 @@ CHECKS: list[tuple[str, str, Callable[[], CheckResult]]] = [
 
 
 def run_all() -> list[CheckResult]:
-    results = []
-    for key, description, fn in CHECKS:
-        result = fn()
-        result.key = key
-        result.description = description
-        results.append(result)
-    return results
+    return [fn()._replace(key=key, description=description)
+            for key, description, fn in CHECKS]

@@ -5,8 +5,6 @@ functions behind ``superq verify``) and prints one PASS/FAIL line; any
 mismatch carries the failing detail in the assertion message.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from superq import explorer, verify
@@ -86,13 +84,13 @@ def _negated(route):
 def _shifted_p2_values(route):
     def wrong(max_n):
         report = route(max_n)
-        return replace(report, values=[(n, v + 1) for n, v in report.values])
+        return report._replace(values=[(n, v + 1) for n, v in report.values])
     return wrong
 
 
 def _violating_records(route):
     def wrong(sigma, tau):
-        return [replace(rec, deg1_lhs=rec.deg1_rhs + 1) for rec in route(sigma, tau)]
+        return [rec._replace(deg1_lhs=rec.deg1_rhs + 1) for rec in route(sigma, tau)]
     return wrong
 
 

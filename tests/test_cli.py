@@ -19,6 +19,7 @@ from superq.schurq import q
 # the benchmark's README commands and their golden stdout, read in place
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import cli_commands  # noqa: E402
+from spans import TRACED  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -233,6 +234,27 @@ def test_lab_cap_is_a_quick_domain_error(argv):
     assert "exceeds the cap 20" in message and "--cap" in message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("pstar", "13,11,9,7,5"), "|mu| = 45 exceeds the cap 30; raise --cap to allow"),
+    (("chartable", "40"), "k = 40 exceeds the cap 30; raise --cap to allow"),
+], ids=["pstar", "chartable"])
+def test_work_budget_is_a_quick_domain_error(argv, message):
+    start = time.perf_counter()
+    assert assert_domain_error_in_subprocess(*argv) == message
+    assert time.perf_counter() - start < 2
+
+
+def test_work_budget_can_be_raised(capsys):
+    code, out, err = run(capsys, "chartable", "4", "--cap", "3")
+    assert code == 1 and out == "" and "cap 3" in err
+    assert run(capsys, "chartable", "4", "--cap", "4")[1].encode() == \
+        cli_commands.read_golden("chartable")
+    code, out, err = run(capsys, "pstar", "3", "--cap", "2")
+    assert code == 1 and out == "" and "cap 2" in err
+    assert run(capsys, "pstar", "3", "--cap", "3")[1].encode() == \
+        cli_commands.read_golden("pstar")
+
+
 def test_integers_are_ascii_digits_only(capsys):
     for literal in ("1_0", "\u0663", "+3", "3,1_1"):
         code, out, err = run(capsys, "g", literal)
@@ -337,6 +359,20 @@ def test_cli_goldens(capsys, slug, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == cli_commands.read_golden(slug)
+
+
+def test_cli_import_skips_typing_and_dataclasses():
+    # start-up cost: `import superq.cli` loads neither module, and so not
+    # inspect, but loads every module whose functions the benchmark traces
+    src = str(Path(superq.__file__).parents[1])
+    code = "import json, sys, superq.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"typing", "dataclasses", "inspect"}
+    traced = {"superq." + name.rsplit(".", 1)[0] for name in TRACED}
+    assert traced and traced <= loaded
 
 
 def test_python_dash_m_runs_the_cli():

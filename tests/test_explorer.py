@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from superq import explorer
 from superq.explorer import (
+    ScanReport,
     StructureConstantRecord,
     deg1_conjecture_scan,
     p2_experiment,
@@ -180,3 +183,49 @@ def test_p2_experiment_bounds():
     with pytest.raises(ValueError):
         p2_experiment(20)
     p2_experiment(15, cap=15)  # cap is a flag, not a hard limit
+
+
+def test_record_reprs():
+    rec = structure_constants(OddPartition((3,)), OddPartition((1,)))[0]
+    assert repr(rec) == (
+        "StructureConstantRecord(sigma=OddPartition((3,)), tau=OddPartition((1,)), "
+        "rho=OddPartition((3,)), value=Fraction(3, 1), deg1_lhs=3, deg1_rhs=5)"
+    )
+    assert repr(deg1_conjecture_scan(2)) == (
+        "ScanReport(max_total=2, pairs_scanned=1, records_checked=2, "
+        "min_slack=0, max_slack=2, violations=[])"
+    )
+    assert repr(p2_experiment(6)) == (
+        "P2Report(max_n=6, values=[(0, Fraction(0, 1)), (1, Fraction(1, 1)), "
+        "(2, Fraction(4, 1)), (3, Fraction(23, 3)), (4, Fraction(12, 1)), "
+        "(5, Fraction(17, 1)), (6, Fraction(1016, 45))], fit_nodes=(1, 2, 3), "
+        "residuals=[(4, Fraction(0, 1)), (5, Fraction(0, 1)), (6, Fraction(-4, 45))])"
+    )
+
+
+def test_structure_constant_records_are_frozen_values():
+    sigma, tau = OddPartition((3,)), OddPartition((3,))
+    first, again = structure_constants(sigma, tau), _peeled_records(sigma, tau)
+    assert first == again and first[0] is not again[0]
+    assert {hash(rec) for rec in first} == {hash(rec) for rec in again}
+    assert first[0] != first[1]
+    with pytest.raises(AttributeError):
+        first[0].value = 0
+    moved = first[0]._replace(deg1_lhs=first[0].deg1_rhs + 1)
+    assert moved.violates and moved.slack == -1 and not first[0].violates
+    p2 = p2_experiment(6)
+    assert p2 == p2_experiment(6)
+    with pytest.raises(AttributeError):
+        p2.max_n = 7
+
+
+def test_scan_report_copy_is_independent():
+    scan = deg1_conjecture_scan(4)
+    bad = copy.copy(scan)
+    assert bad == scan
+    bad.violations = ["a record"]
+    bad.pairs_scanned += 1
+    assert scan.violations == [] and scan.ok
+    assert bad != scan and not bad.ok
+    assert scan == ScanReport(4, scan.pairs_scanned, scan.records_checked,
+                              scan.min_slack, scan.max_slack)

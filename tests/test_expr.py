@@ -1,7 +1,7 @@
 import pytest
 
 from superq.content import hat_p, psi
-from superq.expr import ExprSyntaxError, parse_and_eval, parse_expr
+from superq.expr import ExprSyntaxError, Neg, parse_and_eval, parse_expr
 from superq.factorial import p_star
 from superq.frakp import frak_p
 from superq.gamma import GammaElement
@@ -85,3 +85,23 @@ def test_str_round_trips_through_parser():
         GammaElement.one(),
     ]:
         assert parse_and_eval(str(element)) == element
+
+
+def test_nodes_are_values_typed_by_operator():
+    tree = parse_expr("1/2*p[3] + hatp[2]^2 - -Q[2,1]")
+    assert repr(tree) == (
+        "Sub(left=Add(left=Mul(left=Lit(value=Fraction(1, 2)), "
+        "right=Basis(kind='p', payload=OddPartition((3,)))), "
+        "right=Pow(base=Basis(kind='hatp', payload=2), exponent=2)), "
+        "right=Neg(operand=Basis(kind='Q', payload=StrictPartition((2, 1)))))"
+    )
+    assert tree == parse_expr("1/2 * p[3] + hatp[2] ^ 2 - (-Q[2,1])")
+    assert hash(tree) == hash(parse_expr("1/2*p[3]+hatp[2]^2--Q[2,1]"))
+    # the same operands under another operator are another node
+    a = parse_expr("p[1]")
+    assert parse_expr("p[1] + p[1]") != parse_expr("p[1] * p[1]")
+    assert parse_expr("p[1] - p[1]") != parse_expr("p[1] + p[1]")
+    assert parse_expr("p[1] * p[1]") == parse_expr("p[1]*p[1]")
+    assert Neg(a) != (a,)
+    with pytest.raises(AttributeError):
+        tree.left = a

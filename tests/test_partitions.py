@@ -7,6 +7,7 @@ from superq.partitions import (
     Cell,
     OddPartition,
     StrictPartition,
+    _stirling2_row,
     add_cell,
     contains,
     corners,
@@ -302,8 +303,16 @@ def test_stirling2_examples():
         stirling2(2, 3)
 
 
+def test_stirling2_entry_matches_the_row():
+    # the single entry by inclusion-exclusion against the row's recurrence
+    for k in range(1, 41):
+        row = _stirling2_row(k)
+        for j in range(1, k + 1):
+            assert stirling2(k, j) == row[j], (k, j)
+
+
 def test_stirling2_on_a_long_row():
-    # the row is built iteratively, so its index is not bounded by the stack
+    # one entry costs j big-integer terms, not the whole row
     assert stirling2(1500, 1) == 1
     assert stirling2(1500, 1500) == 1
     assert stirling2(1500, 1499) == 1500 * 1499 // 2

@@ -88,6 +88,8 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                # both cost more to import than the package uses of them
+                assert name not in ("typing", "dataclasses"), (path.name, name)
 
 
 def test_every_imported_name_is_used():
