@@ -2,13 +2,12 @@
 
 For a box with content c the quantity c-hat = c(c+1)/2 plays the role the
 ordinary content plays for unshifted diagrams.  The supersymmetric function
-hat_p(k) agrees with lambda -> sum of c-hat^k over the diagram; it is built
-constructively: the telescoping identity
-
-    p_{2m+1}(lambda) = sum_box [(c+1)^{2m+1} - c^{2m+1}]
-
-is rewritten through Y = c(c+1) (every polynomial with R(X) = R(-X-1) is a
-polynomial in Y), giving a unitriangular system that is solved upward.
+hat_p(k) agrees with lambda -> sum of c-hat^k over the diagram.  Row i of
+the shifted diagram holds the contents 0..lambda_i - 1, so hat_p(k) is
+sum_i F(lambda_i) for F(m) = sum_{c<m} c-hat^k, an odd polynomial of
+degree 2k + 1 whose m^r coefficient is the coefficient of p_r; it is read
+off the exact values F(0..2k+2) by Newton differences.  Every polynomial
+with R(X) = R(-X-1) is a polynomial in Y = X(X+1) (``rewrite_XY``).
 The corner alternating sums psi_k of Han-Xiong live here too, both as
 direct corner sums and as explicit odd power-sum combinations, together
 with the generating-series identity relating them.
@@ -25,7 +24,9 @@ from .partitions import (
     Cell,
     OrdinaryPartition,
     StrictPartition,
+    _stirling1_row,
     inner_corners,
+    newton_differences,
     outer_corners,
     shifted_cells,
 )
@@ -38,95 +39,78 @@ def c_hat(cell: Cell) -> Rat:
     return rat(c * (c + 1), 2)
 
 
-# --- one-variable exact polynomials (dense, low to high) ---------------------
-
-
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        (a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
-        for i in range(n)
-    )
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_scale(a, s):
-    return _poly_trim(c * s for c in a)
-
-
-def _poly_compose(a, inner):
-    # a(inner(X)) by Horner from the top coefficient down.
-    out = ()
-    for c in reversed(a):
-        out = _poly_add(_poly_mul(out, inner), (c,))
+def _horner(coeffs, x):
+    out = ZERO
+    for c in reversed(coeffs):
+        out = out * x + c
     return out
 
 
 class EvenPolynomial:
-    """A polynomial R(X) satisfying R(X) = R(-X-1), checked on construction."""
+    """A polynomial R(X) satisfying R(X) = R(-X-1), checked on construction.
+
+    R(X) - R(-X-1) has degree below len(coeffs), so it is zero once it
+    vanishes at x = 0..len(coeffs) - 1.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        coeffs = _poly_trim(rat(c) for c in coeffs)
-        reflected = _poly_compose(coeffs, (rat(-1), rat(-1)))
-        if coeffs != reflected:
-            raise ValueError("polynomial does not satisfy R(X) = R(-X-1)")
-        self.coeffs = coeffs
+        coeffs = [rat(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        for x in range(len(coeffs)):
+            if _horner(coeffs, x) != _horner(coeffs, -x - 1):
+                raise ValueError("polynomial does not satisfy R(X) = R(-X-1)")
+        self.coeffs = tuple(coeffs)
 
 
 def rewrite_XY(R: EvenPolynomial) -> tuple[Rat, ...]:
     """Rewrite R(X) as a polynomial in Y = X(X+1) (low to high coefficients).
 
-    Expands R around X = -1/2 (odd powers cancel exactly) and substitutes
-    (X + 1/2)^2 = Y + 1/4.
+    Peels the top term a X^{2j} with a Y^j, where
+    Y^j = (X^2 + X)^j = sum_i C(j, i) X^{2j-i}; the rest is again even.
     """
-    shifted = _poly_compose(R.coeffs, (rat(-1, 2), ONE))  # S(T) = R(T - 1/2)
-    for odd_coeff in shifted[1::2]:
-        if odd_coeff:
+    rest = list(R.coeffs)
+    out = [ZERO] * ((len(rest) + 1) // 2)
+    while rest:
+        top = len(rest) - 1
+        if top % 2:
             raise ValueError("odd powers did not cancel; input was not even")
-    out = ()
-    y_plus_quarter = (rat(1, 4), ONE)
-    power = (ONE,)
-    for j in range(0, len(shifted), 2):
-        out = _poly_add(out, _poly_scale(power, shifted[j]))
-        power = _poly_mul(power, y_plus_quarter)
-    return out
+        j, a = top // 2, rest[top]
+        out[j] = a
+        for i in range(j + 1):
+            rest[top - i] -= a * comb(j, i)
+        while rest and not rest[-1]:
+            rest.pop()
+    return tuple(out)
 
 
 @cache
 def hat_p(k: int) -> GammaElement:
-    """The supersymmetric function with hat_p(k)(lambda) = sum c-hat^k."""
+    """The supersymmetric function with hat_p(k)(lambda) = sum c-hat^k.
+
+    Row i of the shifted diagram has contents 0..lambda_i - 1, so
+    hat_p(k)(lambda) = sum_i F(lambda_i) with F(m) = sum_{c<m} c-hat^k.
+    F(m) - F(m-1) is symmetric under m -> 1 - m and F(0) = 0, so F is an
+    odd polynomial of degree 2k + 1, and its m^r coefficient is the p_r
+    coefficient.  Newton differences of F(0..2k+2) give F in the falling
+    factorials, and the Stirling numbers s(j, r) turn those into powers.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return GammaElement.p(1)
-    # (X+1)^{2k+1} - X^{2k+1} rewritten in Y has top coefficient 2k+1:
-    # p_{2k+1} = sum_{r<=k} alpha_r 2^r hat_p(r).
-    binom = [rat(comb(2 * k + 1, i)) for i in range(2 * k + 2)]
-    binom[-1] = ZERO  # subtract X^{2k+1}
-    alpha = rewrite_XY(EvenPolynomial(binom))
-    acc = GammaElement.p(2 * k + 1)
-    for r in range(k):
-        if alpha[r]:
-            acc = acc - (alpha[r] * 2**r) * hat_p(r)
-    return acc * rat(1, 2**k * (2 * k + 1))
+    d = 2 * k + 1
+    values = [0]
+    for c in range(d + 1):
+        values.append(values[-1] + (c * (c + 1) // 2) ** k)
+    diffs = newton_differences(values, f"F(0..{d + 1}) of hat_p({k})")
+    # F(m) = sum_j diffs[j] m^(j) / j!, over the common denominator d!
+    numer = [0] * (d + 1)
+    for j, diff in enumerate(diffs):
+        weight = diff * (factorial(d) // factorial(j))
+        for r, s in enumerate(_stirling1_row(j)):
+            numer[r] += weight * s
+    return GammaElement({(r,): rat(a, factorial(d)) for r, a in enumerate(numer) if a})
 
 
 class OrdinaryPSumExpr(SparseTerms):

@@ -35,7 +35,7 @@ the independent route the tests compare against.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache
 from math import factorial
 
 from .content import OrdinaryPSumExpr
@@ -45,6 +45,7 @@ from .partitions import (
     enumerate_strict,
     falling,
     g,
+    newton_differences,
     term_sort_key,
     z,
 )
@@ -145,24 +146,18 @@ def structure_constants(
     }
     support = {s for by_s in sums.values() for s in by_s if sum(s) <= total}
     rhs = _deg1_of(sigma) + _deg1_of(tau)
+    label = f"the A_s(n) of fp_{sigma} * fp_{tau}"
     records = []
     for s in support:
         size = sum(s)
-        nodes = [
-            sums[n].get(s, 0) * scale[n] if n >= low else 0
-            for n in range(size, top + 1)
-        ]
-        for k in range(1, len(nodes)):
-            for j in range(len(nodes) - 1, k - 1, -1):
-                nodes[j] -= nodes[j - 1]
-        if nodes[-1]:
-            raise ArithmeticError(
-                f"fp_{sigma} * fp_{tau}: the degree-check node of s = {s} "
-                f"gives a nonzero difference"
-            )
+        diffs = newton_differences(
+            [sums[n].get(s, 0) * scale[n] if n >= low else 0
+             for n in range(size, top + 1)],
+            label,
+        )
         denom = (2**size * z(OddPartition(s))
                  * factorial(top - sigma.size) * factorial(top - tau.size))
-        for k, diff in enumerate(nodes[:-1]):
+        for k, diff in enumerate(diffs):
             if diff:
                 rho = OddPartition(s + (1,) * k)
                 value = rat(2 ** len(s) * diff, denom * factorial(k))
@@ -235,9 +230,6 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
         raise ValueError(
             f"max_total = {max_total} exceeds the cap {cap}; raise cap= (--cap) to allow"
         )
-    # Each pair goes through the module-level structure_constants with two
-    # arguments; a raised cap is passed on only when the default is too low.
-    route = structure_constants if cap <= LAB_CAP else partial(structure_constants, cap=cap)
     report = ScanReport(max_total=max_total)
     for a in range(1, max_total):
         for sigma in enumerate_odd(a):
@@ -246,7 +238,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
                     if b == a and term_sort_key(tau) < term_sort_key(sigma):
                         continue
                     report.pairs_scanned += 1
-                    for rec in route(sigma, tau):
+                    for rec in structure_constants(sigma, tau, cap):
                         report.records_checked += 1
                         slack = rec.slack
                         if report.min_slack is None or slack < report.min_slack:

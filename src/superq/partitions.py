@@ -1,9 +1,10 @@
 """Strict, odd, and ordinary integer partitions and their shifted-diagram
 combinatorics: cells and contents, inner/outer corners, standard-tableau
 counts g and g^{lambda/mu}, plus the small number-theoretic helpers
-(z_rho, falling factorials, and the rows of the two Stirling matrices:
+(z_rho, falling factorials, the rows of the two Stirling matrices:
 T(k, j) of the second kind and the signed s(k, j) of the first kind, which
-are inverse unitriangular matrices).
+are inverse unitriangular matrices, and the Newton forward differences
+that read a polynomial off its values at 0, 1, 2, ...).
 
 Skew counts g^{lambda/mu} come from a forward sweep that adds one cell per
 step to every shape and sums the counts arriving at the same shape.
@@ -369,6 +370,31 @@ def z(rho: OddPartition) -> int:
             mult = 1
         out *= part * mult
     return out
+
+
+def newton_differences(values, label: str = "values") -> list:
+    """Delta^j v(0) for j = 0..d from the values v(0), ..., v(d + 1).
+
+    A polynomial v of degree <= d is v(x) = sum_j Delta^j v(0) x^(j) / j!.
+    The last value is the degree-check node: Delta^{d+1} v(0) must vanish,
+    otherwise ``ArithmeticError`` names ``label`` and the nonzero value.
+    Integers stay integers.
+    """
+    diffs = list(values)
+    if not diffs:
+        raise ValueError(f"{label}: newton_differences needs at least one value")
+    last = len(diffs) - 1
+    # in place: after step k, diffs[j] = Delta^k v(j - k) for j >= k
+    for k in range(1, last + 1):
+        for j in range(last, k - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    check = diffs.pop()
+    if check:
+        raise ArithmeticError(
+            f"{label}: not a polynomial of degree <= {last - 1}, the degree-check "
+            f"node gives Delta^{last} = {check}"
+        )
+    return diffs
 
 
 def falling(x, k: int):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .content import OrdinaryPSumExpr
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
@@ -46,6 +46,7 @@ from .partitions import (
     falling,
     g,
     g_skew,
+    newton_differences,
     skew_counts,
     z,
 )
@@ -171,8 +172,11 @@ class PolynomialInN(SparseTerms):
 
 
 def falling_shifted(shift: int, k: int) -> PolynomialInN:
-    """(n + shift)^(k) expanded exactly in the n^(j) basis."""
-    return PolynomialInN.coerce(falling(PolynomialInN.n() + shift, k))
+    """(n + shift)^(k) expanded exactly in the n^(j) basis, by Vandermonde:
+    sum_j C(k, j) shift^(k-j) n^(j)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return PolynomialInN({j: comb(k, j) * falling(shift, k - j) for j in range(k + 1)})
 
 
 # --- measures ----------------------------------------------------------------
@@ -276,23 +280,10 @@ def _require_gamma(f):
 
 
 def _interpolate(values: list) -> PolynomialInN:
-    """The polynomial of degree <= d through values E(0), ..., E(d + 1).
-
-    c_j = Delta^j E(0) / j! for j <= d; Delta^{d+1} E(0) must be zero,
-    otherwise the values are not those of a degree-d polynomial.
-    """
-    d = len(values) - 2
-    diffs = values
-    coeffs = {}
-    for j in range(d + 1):
-        coeffs[j] = diffs[0] / factorial(j)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    if diffs[0]:
-        raise ArithmeticError(
-            f"values are not a polynomial of degree <= {d}: "
-            f"Delta^{d + 1} E(0) = {rat_str(diffs[0])}"
-        )
-    return PolynomialInN(coeffs)
+    """The polynomial of degree <= d through values E(0), ..., E(d + 1):
+    c_j = Delta^j E(0) / j!, and E(d + 1) is the degree-check node."""
+    diffs = newton_differences(values, "averages at n = 0..d + 1")
+    return PolynomialInN({j: rat(c, factorial(j)) for j, c in enumerate(diffs)})
 
 
 def average_symbolic(f: GammaElement) -> PolynomialInN:

@@ -1,12 +1,17 @@
 """Recursive routes kept as test oracles of the closed forms and sweeps in
-superq: g^{lambda/mu} by corner removal, and P*_mu by unitriangular inversion
-of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu."""
+superq: g^{lambda/mu} by corner removal, P*_mu by unitriangular inversion
+of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, and hat_p(k)
+by the unitriangular system of the telescoping identity
+p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}]."""
 
 from functools import cache
+from math import comb
 
+from superq.content import EvenPolynomial, rewrite_XY
 from superq.factorial import p_to_pstar_coeffs
 from superq.gamma import GammaElement, add_scaled
 from superq.partitions import StrictPartition, contains, outer_corners, remove_cell
+from superq.rational import rat
 from superq.schurq import p_fn
 
 
@@ -30,3 +35,18 @@ def oracle_p_star(mu: StrictPartition) -> GammaElement:
         if nu != mu:
             add_scaled(acc, oracle_p_star(nu), -c)
     return GammaElement._wrap(acc)
+
+
+@cache
+def oracle_hat_p(k: int) -> GammaElement:
+    """p_{2k+1} = sum_{r<=k} alpha_r 2^r hat_p(r), solved for hat_p(k), where
+    alpha = rewrite_XY((X+1)^{2k+1} - X^{2k+1}) has top coefficient 2k+1."""
+    if k == 0:
+        return GammaElement.p(1)
+    binom = [comb(2 * k + 1, i) for i in range(2 * k + 1)]  # no X^{2k+1}
+    alpha = rewrite_XY(EvenPolynomial(binom))
+    acc = GammaElement.p(2 * k + 1)
+    for r in range(k):
+        if alpha[r]:
+            acc = acc - (alpha[r] * 2**r) * oracle_hat_p(r)
+    return acc * rat(1, 2**k * (2 * k + 1))

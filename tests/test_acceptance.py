@@ -89,8 +89,9 @@ def _shifted_p2_values(route):
 
 
 def _violating_records(route):
-    def wrong(sigma, tau):
-        return [rec._replace(deg1_lhs=rec.deg1_rhs + 1) for rec in route(sigma, tau)]
+    def wrong(sigma, tau, *rest):
+        return [rec._replace(deg1_lhs=rec.deg1_rhs + 1)
+                for rec in route(sigma, tau, *rest)]
     return wrong
 
 

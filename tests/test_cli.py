@@ -219,6 +219,20 @@ def test_too_large_input_is_a_domain_error():
     assert message == "input too large (RecursionError)"
 
 
+def test_content_hatp_60_is_quick():
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "superq", "content", "hatp", "60"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    # F(m) = sum_{c<m} (c(c+1)/2)^60 leads with m^121 / (2^60 * 121)
+    assert json.loads(proc.stdout)[0] == {"partition": "121",
+                                          "coeff": f"1/{2**60 * 121}"}
+
+
 def test_gskew_on_a_long_row(capsys):
     assert run(capsys, "gskew", "1500", "1") == (0, "1\n", "")
 

@@ -1,7 +1,11 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
 import strategies as strat
+from recursive_oracle import oracle_hat_p
 from superq.content import (
     EvenPolynomial,
     OrdinaryPSumExpr,
@@ -67,12 +71,57 @@ def test_rewrite_XY_is_exact_substitution():
             assert direct == via_y
 
 
+def _random_S(rng):
+    # S(Y) low to high, degree <= 6, with a nonzero top coefficient
+    S = [rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 7))]
+    S[-1] = S[-1] or ONE
+    return S
+
+
+def _in_x(S):
+    # S(X(X+1)) low to high, from (X^2 + X)^j = sum_i C(j, i) X^{2j-i}
+    coeffs = [ZERO] * (2 * len(S) - 1)
+    for j, a in enumerate(S):
+        for i in range(j + 1):
+            coeffs[2 * j - i] += a * comb(j, i)
+    return coeffs
+
+
+def test_rewrite_XY_round_trip():
+    rng = random.Random(10)
+    for _ in range(60):
+        S = _random_S(rng)
+        assert rewrite_XY(EvenPolynomial(_in_x(S))) == tuple(S)
+
+
+def test_even_polynomial_rejects_any_bumped_coefficient():
+    # X^i = (-X-1)^i only for i = 0: adding 1 to any other coefficient, or
+    # one past the top, breaks the symmetry, and adding 1 to the constant
+    # term adds 1 to S
+    rng = random.Random(11)
+    for _ in range(20):
+        S = _random_S(rng)
+        coeffs = _in_x(S)
+        for i in range(1, len(coeffs) + 1):
+            bumped = coeffs + [ZERO]
+            bumped[i] += 1
+            with pytest.raises(ValueError):
+                EvenPolynomial(bumped)
+        bumped = [coeffs[0] + 1, *coeffs[1:]]
+        assert rewrite_XY(EvenPolynomial(bumped)) == (S[0] + 1, *S[1:])
+
+
 def test_hat_p_closed_forms():
     assert hat_p(0) == p(1)
     assert hat_p(1) == rat(1, 6) * p(3) - rat(1, 6) * p(1)
     assert hat_p(2) == (
         rat(1, 20) * p(5) - rat(1, 12) * p(3) + rat(1, 30) * p(1)
     )
+
+
+def test_hat_p_matches_the_unitriangular_oracle():
+    for k in range(13):
+        assert hat_p(k) == oracle_hat_p(k), k
 
 
 def test_hat_p_defining_property():

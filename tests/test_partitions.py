@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -17,6 +18,7 @@ from superq.partitions import (
     g,
     g_skew,
     inner_corners,
+    newton_differences,
     outer_corners,
     remove_cell,
     shifted_cells,
@@ -316,3 +318,37 @@ def test_stirling2_on_a_long_row():
     assert stirling2(1500, 1) == 1
     assert stirling2(1500, 1500) == 1
     assert stirling2(1500, 1499) == 1500 * 1499 // 2
+
+
+# --- Newton forward differences -------------------------------------------------
+
+
+def test_newton_differences_keep_integers():
+    # v(x) = x^3 at x = 0..4: Delta^j v(0) = j! T(3, j)
+    diffs = newton_differences([x**3 for x in range(5)])
+    assert diffs == [0, 1, 6, 6]
+    assert all(type(d) is int for d in diffs)
+
+
+def test_newton_differences_of_fractions():
+    values = [Fraction(x * x + 1, 3) for x in range(4)]
+    assert newton_differences(values) == [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
+
+
+def test_newton_differences_of_one_value():
+    assert newton_differences([0]) == []
+    with pytest.raises(ArithmeticError, match="degree-check node"):
+        newton_differences([5])
+
+
+def test_newton_differences_need_a_value():
+    with pytest.raises(ValueError):
+        newton_differences([])
+
+
+def test_newton_differences_check_the_last_node():
+    values = [x * x for x in range(4)]
+    values[-1] += 2
+    with pytest.raises(ArithmeticError,
+                       match=r"^squares: .*degree-check node gives Delta\^3 = 2$"):
+        newton_differences(values, "squares")

@@ -88,11 +88,13 @@ def test_poly_examples():
 
 def test_falling_shifted():
     # (n + c)^(k) against direct evaluation
-    for shift in range(-3, 4):
-        for k in range(0, 5):
+    for shift in range(-6, 7):
+        for k in range(0, 9):
             poly = falling_shifted(shift, k)
-            for n in range(0, 9):
+            for n in range(0, 13):
                 assert poly.evaluate(n) == falling(n + shift, k)
+    with pytest.raises(ValueError):
+        falling_shifted(0, -1)
 
 
 # --- measures -----------------------------------------------------------------------

@@ -109,3 +109,58 @@ def test_every_imported_name_is_used():
                 continue
             for name in names:
                 assert name in used, (path.name, name)
+
+
+# Recursions that stay: the enumerations descend by the largest part, and
+# the expression evaluator and parser follow the nesting of the input.
+ALLOWED_SELF_CALLS = {
+    ("partitions.py", "_strict_tuples"),
+    ("partitions.py", "_odd_tuples"),
+    ("partitions.py", "_ordinary_tuples"),
+    ("expr.py", "eval_expr"),
+    ("expr.py", "_Parser.unary"),
+}
+
+
+def _calls_itself(func, owner):
+    # f(...) in a function f; self.f(...) or cls.f(...) in a method f
+    for call in ast.walk(func):
+        if not isinstance(call, ast.Call):
+            continue
+        target = call.func
+        if owner is None and isinstance(target, ast.Name) and target.id == func.name:
+            return True
+        if (owner is not None and isinstance(target, ast.Attribute)
+                and target.attr == func.name and isinstance(target.value, ast.Name)
+                and target.value.id in ("self", "cls", owner)):
+            return True
+    return False
+
+
+def _self_calls(tree):
+    """Qualified names of the functions and methods that call themselves."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _calls_itself(child, owner):
+                    found.append(f"{owner}.{child.name}" if owner else child.name)
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_function_calls_itself_outside_the_allow_list():
+    found = set()
+    for path in Path(superq.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, name) for name in _self_calls(tree)}
+    assert found <= ALLOWED_SELF_CALLS, sorted(found - ALLOWED_SELF_CALLS)
+    # the guard sees each allowed recursion, so the list holds no stale entry
+    assert found == ALLOWED_SELF_CALLS
