@@ -30,6 +30,19 @@ polynomial functions on Young diagrams.  The sums S depend only on
 (sigma~, tau~, n), so pairs that differ in their parts equal to 1 share
 them.  The peeling ``expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))`` is
 the independent route the tests compare against.
+
+The sums S for all rho_n of one n come from one integer: each row lambda of
+the table is packed as sum_j X^lambda_{rho_j} B^j, and sum_lambda
+h(lambda) X^lambda_{sigma~ u 1s} X^lambda_{tau~ u 1s} row_lambda has the S
+as its base-B digits.  The digit width is fixed per n by the proven bound
+|S| <= sum_lambda h(lambda) M_lambda^3, with M_lambda the largest |entry| of
+row lambda, so the balanced (signed) digits decode exactly.
+
+``structure_constants`` and the scan share ``_terms``, which yields the
+integer Newton difference d of every nonzero coefficient.  The scan reads
+the slack deg1(sigma) + deg1(tau) - (|s| + 2k) off (s, k) alone and builds
+a record, through the same values as ``structure_constants``, only for a
+violation.
 """
 
 from __future__ import annotations
@@ -54,8 +67,9 @@ from .rational import Rat, rat, rat_str
 from .schurq import character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
-# need character_table(cap + 1), which grows fast past it.
-LAB_CAP = 20
+# need character_table(cap + 1), and a whole scan to the cap takes about
+# 2 s; each total above it adds about 60%.
+LAB_CAP = 23
 
 
 def _deg1_of(rho: OddPartition) -> int:
@@ -102,23 +116,95 @@ def _hook_weights(n: int) -> tuple[int, ...]:
 
 
 @cache
+def _packed_rows(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple, ...]]:
+    """Each row of character_table(n) packed into one integer
+    sum_j X^lambda_{rho_j} B^j, with B = 2^{8 b} for a digit width of b bytes.
+
+    Returns (b, the offset sum_j (B/2) B^j, the packed rows in table order,
+    the m_1-free parts of each rho_j).  Every sum S of ``_spin_sums`` obeys
+    |S| <= sum_lambda h(lambda) M_lambda^3, where M_lambda is the largest
+    |X^lambda_rho| in row lambda, and B/2 exceeds that bound, so the digits
+    of sum_lambda w_lambda row_lambda, read as balanced (signed) digits
+    after the offset is added, are exactly the S.
+    """
+    table = character_table(n)
+    rows = list(zip(*table._columns))
+    bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(_hook_weights(n), rows))
+    width = (bound.bit_length() + 8) // 8  # so that B/2 = 2^{8 b - 1} > bound
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(table.odd), "little")
+    packed = tuple(
+        int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in row),
+                       "little") - offset
+        for row in rows
+    )
+    return width, offset, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
+
+
+@cache
 def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     """The integers S for every m_1-free odd s with |s| <= n, keyed by the
-    parts of s, zeros dropped; see the module docstring."""
+    parts of s, zeros dropped; see the module docstring.  One packed sum
+    over the rows of the table gives S for every column at once."""
     table = character_table(n)
     a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
     b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
-    weights = [
-        (i, h * x * y)
-        for i, (h, x, y) in enumerate(zip(_hook_weights(n), a, b))
+    width, offset, rows, keys = _packed_rows(n)
+    packed = sum(
+        h * x * y * row
+        for h, x, y, row in zip(_hook_weights(n), a, b, rows)
         if x and y
-    ]
+    )
+    digits = (packed + offset).to_bytes(width * len(keys), "little")
+    half = 1 << (8 * width - 1)
     sums = {}
-    for rho, column in zip(table.odd, table._columns):
-        total = sum(w * column[i] for i, w in weights)
+    for j, s in enumerate(keys):
+        total = int.from_bytes(digits[j * width:(j + 1) * width], "little") - half
         if total:
-            sums[_ones_free(rho.parts)] = total
+            sums[s] = total
     return sums
+
+
+def _terms(sigma: OddPartition, tau: OddPartition):
+    """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
+    coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
+    (D + 1 - |sigma|)! (D + 1 - |tau|)!) with D = |sigma| + |tau|, and d
+    is the integer k-th Newton difference of the scaled sums."""
+    total = sigma.size + tau.size
+    key = tuple(sorted((_ones_free(sigma.parts), _ones_free(tau.parts))))
+    top = total + 1  # the degree-check node
+    low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
+    # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
+    # here over the common denominator (top-|sigma|)! (top-|tau|)!
+    nodes = [
+        (_spin_sums(*key, n),
+         falling(top - sigma.size, top - n) * falling(top - tau.size, top - n))
+        for n in range(low, top + 1)
+    ]
+    label = f"the A_s(n) of fp_{sigma} * fp_{tau}"
+    for s in set().union(*(by_s for by_s, _ in nodes)):
+        size = sum(s)
+        if size > total:
+            continue
+        diffs = newton_differences(
+            [0] * (low - size)
+            + [by_s.get(s, 0) * c for by_s, c in nodes[max(size - low, 0):]],
+            label,
+        )
+        for k, diff in enumerate(diffs):
+            if diff:
+                yield s, k, diff
+
+
+def _record(sigma: OddPartition, tau: OddPartition, s: tuple, k: int,
+            diff: int) -> StructureConstantRecord:
+    """The record of the term (s, k, diff) of ``_terms(sigma, tau)``."""
+    top = sigma.size + tau.size + 1
+    rho = OddPartition(s + (1,) * k)
+    denom = (2 ** sum(s) * z(OddPartition(s)) * factorial(k)
+             * factorial(top - sigma.size) * factorial(top - tau.size))
+    return StructureConstantRecord(sigma, tau, rho, rat(2 ** len(s) * diff, denom),
+                                   _deg1_of(rho), _deg1_of(sigma) + _deg1_of(tau))
 
 
 def structure_constants(
@@ -134,36 +220,7 @@ def structure_constants(
         raise ValueError(
             f"|sigma| + |tau| = {total} exceeds the cap {cap}; raise cap= (--cap) to allow"
         )
-    key = tuple(sorted((_ones_free(sigma.parts), _ones_free(tau.parts))))
-    top = total + 1  # the degree-check node
-    low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
-    sums = {n: _spin_sums(*key, n) for n in range(low, top + 1)}
-    # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
-    # here over the common denominator (top-|sigma|)! (top-|tau|)!
-    scale = {
-        n: falling(top - sigma.size, top - n) * falling(top - tau.size, top - n)
-        for n in sums
-    }
-    support = {s for by_s in sums.values() for s in by_s if sum(s) <= total}
-    rhs = _deg1_of(sigma) + _deg1_of(tau)
-    label = f"the A_s(n) of fp_{sigma} * fp_{tau}"
-    records = []
-    for s in support:
-        size = sum(s)
-        diffs = newton_differences(
-            [sums[n].get(s, 0) * scale[n] if n >= low else 0
-             for n in range(size, top + 1)],
-            label,
-        )
-        denom = (2**size * z(OddPartition(s))
-                 * factorial(top - sigma.size) * factorial(top - tau.size))
-        for k, diff in enumerate(diffs):
-            if diff:
-                rho = OddPartition(s + (1,) * k)
-                value = rat(2 ** len(s) * diff, denom * factorial(k))
-                records.append(
-                    StructureConstantRecord(sigma, tau, rho, value, _deg1_of(rho), rhs)
-                )
+    records = [_record(sigma, tau, *term) for term in _terms(sigma, tau)]
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records
 
@@ -220,9 +277,9 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
     """Scan every unordered pair (sigma, tau) with |sigma| + |tau| <= max_total.
 
     Records violating |rho| + m_1(rho) <= deg1(sigma) + deg1(tau) are
-    collected verbatim; an empty list is the expected outcome, a nonempty
-    one is a counterexample to the filtration conjecture.  ``cap`` bounds
-    max_total and can be raised freely.
+    collected verbatim, and only they are built; an empty list is the
+    expected outcome, a nonempty one is a counterexample to the filtration
+    conjecture.  ``cap`` bounds max_total and can be raised freely.
     """
     if max_total < 2:
         raise ValueError("max_total must be at least 2")
@@ -231,6 +288,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
             f"max_total = {max_total} exceeds the cap {cap}; raise cap= (--cap) to allow"
         )
     report = ScanReport(max_total=max_total)
+    records, low, high = 0, None, None
     for a in range(1, max_total):
         for sigma in enumerate_odd(a):
             for b in range(a, max_total - a + 1):
@@ -238,15 +296,20 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
                     if b == a and term_sort_key(tau) < term_sort_key(sigma):
                         continue
                     report.pairs_scanned += 1
-                    for rec in structure_constants(sigma, tau, cap):
-                        report.records_checked += 1
-                        slack = rec.slack
-                        if report.min_slack is None or slack < report.min_slack:
-                            report.min_slack = slack
-                        if report.max_slack is None or slack > report.max_slack:
-                            report.max_slack = slack
-                        if rec.violates:
-                            report.violations.append(rec)
+                    rhs = _deg1_of(sigma) + _deg1_of(tau)
+                    violations = []
+                    for s, k, diff in _terms(sigma, tau):
+                        records += 1
+                        slack = rhs - sum(s) - 2 * k
+                        if low is None or slack < low:
+                            low = slack
+                        if high is None or slack > high:
+                            high = slack
+                        if slack < 0:
+                            violations.append(_record(sigma, tau, s, k, diff))
+                    violations.sort(key=lambda rec: term_sort_key(rec.rho))
+                    report.violations += violations
+    report.records_checked, report.min_slack, report.max_slack = records, low, high
     return report
 
 

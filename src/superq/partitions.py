@@ -407,25 +407,39 @@ def falling(x, k: int):
     return out
 
 
-@cache
+# The rows of the two Stirling matrices built so far, by index.  Each call
+# extends its map from the last row built, so rows 0..k cost about k^2
+# operations in all; setdefault keeps a row that another thread added first.
+_STIRLING1_ROWS = {0: (1,)}
+_STIRLING2_ROWS = {0: (1,)}
+
+
 def _stirling1_row(k: int) -> tuple[int, ...]:
     # s(k, j) for j = 0..k, the signed Stirling numbers of the first kind:
     # the monomial coefficients (low to high) of n(n-1)...(n-k+1), by
     # s(i + 1, j) = s(i, j - 1) - i s(i, j).
-    row = [1]
-    for i in range(k):
-        row = [a - i * b for a, b in zip([0] + row, row + [0])]
-    return tuple(row)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    rows = _STIRLING1_ROWS
+    while k not in rows:
+        i = len(rows) - 1
+        row = rows[i]
+        rows.setdefault(i + 1, tuple(a - i * b for a, b in zip((0,) + row, row + (0,))))
+    return rows[k]
 
 
-@cache
 def _stirling2_row(k: int) -> tuple[int, ...]:
     # T(k, j) for j = 0..k, with T(0, 0) = 1: the falling-factorial
     # coefficients of n^k, by T(i + 1, j) = T(i, j - 1) + j T(i, j).
-    row = [1]
-    for _ in range(k):
-        row = [a + j * b for j, (a, b) in enumerate(zip([0] + row, row + [0]))]
-    return tuple(row)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    rows = _STIRLING2_ROWS
+    while k not in rows:
+        i = len(rows) - 1
+        row = rows[i]
+        rows.setdefault(i + 1, tuple(
+            a + j * b for j, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
+    return rows[k]
 
 
 def stirling2(k: int, j: int) -> int:

@@ -17,14 +17,18 @@ where an r-bar of the strict partition lambda is one of
 (c) two parts lambda_i > lambda_j with lambda_i + lambda_j = r: mu drops
     both, and w = 2 (-1)^{lambda_j + #parts strictly between them}.
 
-Q_lambda is then read off its row of the table,
-Q_lambda = sum_rho 2^{l(rho)} z_rho^{-1} X^lambda_rho p_rho, and
+Each table keeps only these integer columns; there is no rational copy.
+``CharacterTable.value`` turns one entry into a rational as it reads it, and
+the code that sweeps a whole table (``q``, ``expand_in_P``, ``rows``) reads
+the integers straight from the columns.  Q_lambda is read off its row of the
+table, Q_lambda = sum_rho 2^{l(rho)} z_rho^{-1} X^lambda_rho p_rho, and
 X = <p_rho, Q_lambda> is kept as the scalar-product view of the same values.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import lcm
 
 from .gamma import GammaElement, scalar_product
 from .partitions import (
@@ -88,12 +92,32 @@ def p_fn(lam: StrictPartition) -> GammaElement:
     return q(lam) * rat(1, 2**lam.length)
 
 
+class _ValuesView:
+    """Read-only (lambda, rho) -> X^lambda_rho mapping over the integer
+    columns of one table; each entry becomes a Rat as it is read."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "CharacterTable"):
+        self._table = table
+
+    def __getitem__(self, key) -> Rat:
+        lam, rho = key
+        table = self._table
+        return rat(table._columns[table._col_of[rho.parts]][table._row_of[lam.parts]])
+
+    def keys(self):
+        table = self._table
+        return ((lam, rho) for rho in table.odd for lam in table.strict)
+
+
 class CharacterTable:
     """All values X^lambda_rho for |lambda| = |rho| = k (zeros included).
 
     Column rho = (r) u rho' is filled in integers by bar removal of r from
-    the column rho' of ``character_table(k - r)``; ``value`` reads the same
-    numbers as rationals.
+    the column rho' of ``character_table(k - r)``.  The integer columns are
+    the only copy of the values: ``value`` reads one of them through the
+    view ``_values`` and returns it as a Rat.
     """
 
     def __init__(self, k: int):
@@ -103,11 +127,7 @@ class CharacterTable:
         self._row_of = {lam.parts: i for i, lam in enumerate(self.strict)}
         self._col_of = {rho.parts: j for j, rho in enumerate(self.odd)}
         self._columns = [[1]] if k == 0 else self._remove_bars()
-        self._values = {
-            (lam, rho): rat(x)
-            for rho, column in zip(self.odd, self._columns)
-            for lam, x in zip(self.strict, column)
-        }
+        self._values = _ValuesView(self)
 
     def _remove_bars(self) -> list[list[int]]:
         bars = {}  # r -> for each lambda, [(row of mu in the smaller table, w)]
@@ -131,8 +151,8 @@ class CharacterTable:
 
     def rows(self):
         """(lambda, [(rho, X^lambda_rho), ...]) in enumeration order."""
-        for lam in self.strict:
-            yield lam, [(rho, self._values[(lam, rho)]) for rho in self.odd]
+        for i, lam in enumerate(self.strict):
+            yield lam, [(rho, rat(column[i])) for rho, column in zip(self.odd, self._columns)]
 
 
 @cache
@@ -172,11 +192,16 @@ def expand_in_P(f: GammaElement) -> dict[StrictPartition, Rat]:
     out: dict[StrictPartition, Rat] = {}
     for d, component in f.homogeneous_split().items():
         table = character_table(d)
-        for lam in table.strict:
-            total = sum(
-                (c * table.value(lam, rho) for rho, c in component.items()),
-                start=rat(0),
-            )
+        # sum_rho c_rho X^lambda_rho in integers over the common denominator
+        coeffs = component._coeffs
+        denom = lcm(*(c.denominator for c in coeffs.values()))
+        terms = [
+            (c.numerator * (denom // c.denominator),
+             table._columns[table._col_of[rho.parts]])
+            for rho, c in coeffs.items()
+        ]
+        for i, lam in enumerate(table.strict):
+            total = sum(c * column[i] for c, column in terms)
             if total:
-                out[lam] = total
+                out[lam] = rat(total, denom)
     return out

@@ -88,10 +88,11 @@ def _shifted_p2_values(route):
     return wrong
 
 
-def _violating_records(route):
-    def wrong(sigma, tau, *rest):
-        return [rec._replace(deg1_lhs=rec.deg1_rhs + 1)
-                for rec in route(sigma, tau, *rest)]
+def _term_above_rhs(route):
+    # adds fp_{1^k} with deg1 = 2k above deg1(sigma) + deg1(tau)
+    def wrong(sigma, tau):
+        yield from route(sigma, tau)
+        yield (), explorer._deg1_of(sigma) + explorer._deg1_of(tau) + 1, 1
     return wrong
 
 
@@ -108,7 +109,7 @@ BROKEN_ROUTES = [
     ("check_corner_functions", verify, "psi", _negated),
     ("check_p2_experiment", verify, "p2_experiment", _shifted_p2_values),
     ("check_discrepancy_guard", verify, "average_bruteforce", _plus_one),
-    ("check_conjecture_scan", explorer, "structure_constants", _violating_records),
+    ("check_conjecture_scan", explorer, "_terms", _term_above_rhs),
 ]
 
 

@@ -233,19 +233,33 @@ def test_content_hatp_60_is_quick():
                                           "coeff": f"1/{2**60 * 121}"}
 
 
+def test_content_hatp_200_is_quick():
+    # the Stirling rows are built once each, so hat_p(k) costs about k^2
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "superq", "content", "hatp", "200"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)[0] == {"partition": "401",
+                                          "coeff": f"1/{2**200 * 401}"}
+
+
 def test_gskew_on_a_long_row(capsys):
     assert run(capsys, "gskew", "1500", "1") == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("argv", [
-    ("lab", "deg1-scan", "--max", "21"),
-    ("lab", "fstruct", "21", "21"),
+    ("lab", "deg1-scan", "--max", "24"),
+    ("lab", "fstruct", "23", "1"),
 ])
 def test_lab_cap_is_a_quick_domain_error(argv):
     start = time.perf_counter()
     message = assert_domain_error_in_subprocess(*argv)
     assert time.perf_counter() - start < 2
-    assert "exceeds the cap 20" in message and "--cap" in message
+    assert "exceeds the cap 23" in message and "--cap" in message
 
 
 @pytest.mark.parametrize("argv, message", [

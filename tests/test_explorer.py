@@ -14,6 +14,7 @@ from superq.frakp import expand_gamma_in_frak, frak_p
 from superq.partitions import OddPartition, enumerate_odd, term_sort_key
 from superq.plancherel import PolynomialInN, product_average_check
 from superq.rational import rat
+from superq.schurq import character_table
 
 
 def test_structure_constants_identity_element():
@@ -73,6 +74,82 @@ def test_scan_to_14_counts():
     assert report.ok and report.min_slack == 0
 
 
+def test_scan_to_20_counts():
+    report = deg1_conjecture_scan(20)
+    assert (report.pairs_scanned, report.records_checked) == (2990, 84739)
+    assert (report.min_slack, report.max_slack) == (0, 20) and report.ok
+
+
+def _pairs(max_total):
+    # every unordered pair the scan visits, in its order
+    for a in range(1, max_total):
+        for sigma in enumerate_odd(a):
+            for b in range(a, max_total - a + 1):
+                for tau in enumerate_odd(b):
+                    if b > a or term_sort_key(tau) >= term_sort_key(sigma):
+                        yield sigma, tau
+
+
+def _folded_report(max_total):
+    # the scan's report, folded from the full records of structure_constants
+    report = ScanReport(max_total)
+    for sigma, tau in _pairs(max_total):
+        report.pairs_scanned += 1
+        for rec in structure_constants(sigma, tau):
+            report.records_checked += 1
+            if report.min_slack is None or rec.slack < report.min_slack:
+                report.min_slack = rec.slack
+            if report.max_slack is None or rec.slack > report.max_slack:
+                report.max_slack = rec.slack
+            if rec.violates:
+                report.violations.append(rec)
+    return report
+
+
+def test_scan_equals_the_folded_structure_constants(monkeypatch):
+    for max_total in range(2, 15):
+        assert deg1_conjecture_scan(max_total) == _folded_report(max_total)
+    # terms with deg1 above deg1(sigma) + deg1(tau) <= 10 in the products of
+    # total 5: the scan builds their records through the same values as
+    # structure_constants
+    route = explorer._terms
+
+    def with_violations(sigma, tau):
+        yield from route(sigma, tau)
+        if sigma.size + tau.size == 5:
+            yield (3,), 4, -7
+            yield (), 6, 1
+
+    monkeypatch.setattr(explorer, "_terms", with_violations)
+    report = deg1_conjecture_scan(6)
+    assert report == _folded_report(6)
+    assert len(report.violations) == 2 * sum(1 for s, t in _pairs(6) if s.size + t.size == 5)
+    assert report.min_slack < 0
+
+
+def _spin_sums_by_dot_products(sigma_t, tau_t, n):
+    # the sums of _spin_sums, one dot product per column
+    table = character_table(n)
+    a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
+    b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
+    weights = [h * x * y for h, x, y in zip(explorer._hook_weights(n), a, b)]
+    sums = {}
+    for rho, column in zip(table.odd, table._columns):
+        total = sum(w * x for w, x in zip(weights, column))
+        if total:
+            sums[tuple(part for part in rho.parts if part > 1)] = total
+    return sums
+
+
+def test_packed_sums_equal_the_dot_products():
+    for n in (0, 1, 6, 13, 25):
+        free = [tuple(part for part in rho.parts if part > 1) for rho in enumerate_odd(n)]
+        for sigma_t, tau_t in [((), ()), ((), free[0]), (free[0], free[0]),
+                               (free[len(free) // 3], free[len(free) // 2])]:
+            assert explorer._spin_sums(sigma_t, tau_t, n) == \
+                _spin_sums_by_dot_products(sigma_t, tau_t, n)
+
+
 def test_corrupt_node_trips_the_degree_check(monkeypatch):
     route = explorer._spin_sums
 
@@ -88,16 +165,16 @@ def test_corrupt_node_trips_the_degree_check(monkeypatch):
 
 
 def test_lab_cap():
-    with pytest.raises(ValueError, match="exceeds the cap 20"):
-        structure_constants(OddPartition((21,)), OddPartition((1,)))
-    with pytest.raises(ValueError, match="exceeds the cap 20"):
-        deg1_conjecture_scan(21)
+    with pytest.raises(ValueError, match="exceeds the cap 23"):
+        structure_constants(OddPartition((23,)), OddPartition((1,)))
+    with pytest.raises(ValueError, match="exceeds the cap 23"):
+        deg1_conjecture_scan(24)
     with pytest.raises(ValueError, match="exceeds the cap 5"):
         deg1_conjecture_scan(6, cap=5)
     with pytest.raises(ValueError, match="exceeds the cap 5"):
         structure_constants(OddPartition((3,)), OddPartition((3,)), cap=5)
     # the cap is a flag, not a hard limit
-    assert len(structure_constants(OddPartition((21,)), OddPartition((1,)), cap=22)) == 2
+    assert len(structure_constants(OddPartition((23,)), OddPartition((1,)), cap=24)) == 2
     assert deg1_conjecture_scan(4, cap=30) == deg1_conjecture_scan(4)
 
 

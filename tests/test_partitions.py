@@ -1,13 +1,17 @@
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from superq import partitions
 from recursive_oracle import oracle_g_skew
 from superq.partitions import (
     Cell,
     OddPartition,
     StrictPartition,
+    _stirling1_row,
     _stirling2_row,
     add_cell,
     contains,
@@ -311,6 +315,45 @@ def test_stirling2_entry_matches_the_row():
         row = _stirling2_row(k)
         for j in range(1, k + 1):
             assert stirling2(k, j) == row[j], (k, j)
+
+
+def test_stirling_rows_built_by_threads_at_once(monkeypatch):
+    # four threads extend the same cold row maps at once; every row must
+    # land at its own index
+    monkeypatch.setattr(partitions, "_STIRLING1_ROWS", {0: (1,)})
+    monkeypatch.setattr(partitions, "_STIRLING2_ROWS", {0: (1,)})
+    barrier = threading.Barrier(4, timeout=60)
+
+    def build():
+        barrier.wait()
+        for k in (20, 45, 70, 150, 300):
+            _stirling1_row(k)
+            _stirling2_row(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rows, sign in ((partitions._STIRLING1_ROWS, -1), (partitions._STIRLING2_ROWS, 1)):
+        assert list(rows) == list(range(301))
+        for k in range(1, 301):
+            assert len(rows[k]) == k + 1 and rows[k][k] == 1
+            assert rows[k][k - 1] == sign * k * (k - 1) // 2
+    for k in (20, 45):
+        s_row = _stirling1_row(k)
+        assert sum(s * (k + 3) ** j for j, s in enumerate(s_row)) == falling(k + 3, k)
+        assert _stirling2_row(k)[1:] == tuple(stirling2(k, j) for j in range(1, k + 1))
+    with pytest.raises(ValueError):
+        _stirling1_row(-1)
+    with pytest.raises(ValueError):
+        _stirling2_row(-1)
 
 
 def test_stirling2_on_a_long_row():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
+import superq
 from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
@@ -131,6 +136,31 @@ def test_tables_equal_pfaffian_oracle():
             assert table.value(lam, rho) == x
 
 
+def test_rows_and_value_read_the_same_integers():
+    for k in range(12):
+        table = character_table(k)
+        entries = {(lam, rho): x for lam, row in table.rows() for rho, x in row}
+        assert dict(table._values) == entries
+        assert all(table.value(lam, rho) == x for (lam, rho), x in entries.items())
+        assert len(entries) == len(table.strict) * len(table.odd)
+    with pytest.raises(TypeError):
+        table._values[next(iter(entries))] = 0
+
+
+def test_cold_tables_stay_small():
+    # the integer columns are the only copy of each table
+    code = ("import tracemalloc; from superq.schurq import character_table; "
+            "tracemalloc.start(); [character_table(k) for k in range(25)]; "
+            "print(tracemalloc.get_traced_memory()[1])")
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4_000_000
+
+
 def test_q_equals_pfaffian_oracle():
     for n in range(15):
         for lam in enumerate_strict(n):
@@ -192,3 +222,17 @@ def test_expand_in_P_general():
     for lam, c in coeffs.items():
         total = total + c * p_fn(lam)
     assert total == f
+
+
+def test_expand_in_P_equals_the_sum_of_table_values():
+    f = (rat(1, 3) * p(3) - rat(2, 5) * p((1, 1, 1)) + rat(7, 4) * p((5, 1, 1))
+         + rat(-1, 6) * p((3, 3, 1)) + 2 * p((1,)) + rat(1, 9) * GammaElement.one())
+    want = {}
+    for d, component in f.homogeneous_split().items():
+        table = character_table(d)
+        for lam in table.strict:
+            total = sum(c * table.value(lam, rho) for rho, c in component.items())
+            if total:
+                want[lam] = total
+    assert expand_in_P(f) == want
+    assert expand_in_P(GammaElement.zero()) == {}
