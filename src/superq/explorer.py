@@ -28,7 +28,8 @@ the difference at the last node must vanish, and a nonzero one raises
 ``ArithmeticError``.  This is the spin analogue of Kerov-Olshanski's
 polynomial functions on Young diagrams.  The sums S depend only on
 (sigma~, tau~, n), so pairs that differ in their parts equal to 1 share
-them.  The peeling ``expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))`` is
+them, through a memo that lives for one scan or one
+``structure_constants`` call.  The peeling ``expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))`` is
 the independent route the tests compare against.
 
 The sums S for all rho_n of one n come from one integer: each row lambda of
@@ -141,7 +142,6 @@ def _packed_rows(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple, ...]]:
     return width, offset, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
 
 
-@cache
 def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     """The integers S for every m_1-free odd s with |s| <= n, keyed by the
     parts of s, zeros dropped; see the module docstring.  One packed sum
@@ -165,22 +165,28 @@ def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     return sums
 
 
-def _terms(sigma: OddPartition, tau: OddPartition):
+def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
     """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
     coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
     (D + 1 - |sigma|)! (D + 1 - |tau|)!) with D = |sigma| + |tau|, and d
-    is the integer k-th Newton difference of the scaled sums."""
+    is the integer k-th Newton difference of the scaled sums.
+
+    ``memo`` maps ((sigma~, tau~), n) to the sums of ``_spin_sums``; the
+    caller owns it, so the sums live only as long as one scan or one
+    ``structure_constants`` call."""
     total = sigma.size + tau.size
     key = tuple(sorted((_ones_free(sigma.parts), _ones_free(tau.parts))))
     top = total + 1  # the degree-check node
     low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
     # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
     # here over the common denominator (top-|sigma|)! (top-|tau|)!
-    nodes = [
-        (_spin_sums(*key, n),
-         falling(top - sigma.size, top - n) * falling(top - tau.size, top - n))
-        for n in range(low, top + 1)
-    ]
+    nodes = []
+    for n in range(low, top + 1):
+        sums = memo.get((key, n))
+        if sums is None:
+            sums = memo[key, n] = _spin_sums(*key, n)
+        nodes.append((sums, falling(top - sigma.size, top - n)
+                      * falling(top - tau.size, top - n)))
     label = f"the A_s(n) of fp_{sigma} * fp_{tau}"
     for s in set().union(*(by_s for by_s, _ in nodes)):
         size = sum(s)
@@ -220,7 +226,7 @@ def structure_constants(
         raise ValueError(
             f"|sigma| + |tau| = {total} exceeds the cap {cap}; raise cap= (--cap) to allow"
         )
-    records = [_record(sigma, tau, *term) for term in _terms(sigma, tau)]
+    records = [_record(sigma, tau, *term) for term in _terms(sigma, tau, {})]
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records
 
@@ -289,6 +295,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
         )
     report = ScanReport(max_total=max_total)
     records, low, high = 0, None, None
+    memo: dict = {}  # the spin-character sums, shared by the pairs of this scan
     for a in range(1, max_total):
         for sigma in enumerate_odd(a):
             for b in range(a, max_total - a + 1):
@@ -298,7 +305,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
                     report.pairs_scanned += 1
                     rhs = _deg1_of(sigma) + _deg1_of(tau)
                     violations = []
-                    for s, k, diff in _terms(sigma, tau):
+                    for s, k, diff in _terms(sigma, tau, memo):
                         records += 1
                         slack = rhs - sum(s) - 2 * k
                         if low is None or slack < low:

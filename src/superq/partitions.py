@@ -7,7 +7,14 @@ are inverse unitriangular matrices, and the Newton forward differences
 that read a polynomial off its values at 0, 1, 2, ...).
 
 Skew counts g^{lambda/mu} come from a forward sweep that adds one cell per
-step to every shape and sums the counts arriving at the same shape.
+step to every shape and sums the counts arriving at the same shape; the
+sweep of ``skew_counts`` keys a shape by the set of its parts as one
+integer, mask = 1 + sum_i 2^{lambda_i}.  ``_strict_walk`` visits the strict
+partitions of n depth first on an explicit stack and grows g (by the hook
+formula) and the power sums a part at a time, so a prefix does its share
+once for every partition that extends it.  ``g`` and ``g_skew`` still
+compute one shape at a time, and the tests check the walk and the sweep
+against them.
 
 Partitions are immutable, hashable, and typed: a ``StrictPartition`` never
 compares equal to an ``OddPartition`` with the same parts, so the three
@@ -20,6 +27,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache
 from math import comb, factorial
+from operator import add
 
 
 class Cell(namedtuple("Cell", "row col")):
@@ -280,21 +288,19 @@ def add_cell(lam: StrictPartition, cell: Cell) -> StrictPartition:
 # --- standard shifted tableaux ----------------------------------------------
 
 
-def _grow(layer: dict[tuple, int], inside: tuple | None = None) -> dict[tuple, int]:
-    # One step of the forward sweep: add every addable cell to each shape
-    # and sum the counts that arrive at the same tuple; with `inside`, keep
-    # only the shapes whose diagram sits inside that of `inside`.
+def _grow(layer: dict[tuple, int], inside: tuple) -> dict[tuple, int]:
+    # One step of the forward sweep of _g_skew: add every addable cell to
+    # each shape whose diagram stays inside that of `inside`, and sum the
+    # counts that arrive at the same tuple.
     grown: dict[tuple, int] = {}
     for parts, count in layer.items():
         above = None
         for i, part in enumerate(parts):
-            if (above is None or above > part + 1) and (
-                    inside is None or inside[i] > part):
+            if (above is None or above > part + 1) and inside[i] > part:
                 shape = (*parts[:i], part + 1, *parts[i + 1:])
                 grown[shape] = grown.get(shape, 0) + count
             above = part
-        if (not parts or parts[-1] > 1) and (
-                inside is None or len(inside) > len(parts)):
+        if (not parts or parts[-1] > 1) and len(inside) > len(parts):
             shape = (*parts, 1)
             grown[shape] = grown.get(shape, 0) + count
     return grown
@@ -313,24 +319,92 @@ def _g_skew(lam_parts: tuple, mu_parts: tuple) -> int:
 def g_skew(lam: StrictPartition, mu: StrictPartition) -> int:
     """Number of standard tableaux of shifted shape lam/mu (0 if mu not in lam).
 
-    The forward sweep of ``skew_counts``, keeping only the shapes inside
+    A forward sweep over part tuples that keeps only the shapes inside
     lam; the corner-removal recursion is its test oracle.
     """
     return _g_skew(lam.parts, mu.parts)
+
+
+def _mask(parts) -> int:
+    # The set of parts as one integer: bit p for each part p, plus bit 0.
+    return sum(1 << p for p in parts) + 1
+
+
+def _mask_parts(mask: int) -> tuple:
+    # Inverse of _mask: the set bits above bit 0, largest first.
+    return tuple(p for p in range(mask.bit_length() - 1, 0, -1) if mask >> p & 1)
+
+
+def _skew_masks(mu: StrictPartition, n: int) -> dict[int, int]:
+    """g^{lam/mu} for every strict lam of size |mu| + n that contains mu,
+    keyed by _mask(lam)."""
+    layer = {_mask(mu.parts): 1}
+    for _ in range(n):
+        grown: dict[int, int] = {}
+        for mask, count in layer.items():
+            # bit p with bit p + 1 clear: part p can grow, and the bit 0
+            # sentinel with bit 1 clear means a new part 1 can start
+            free = mask & ~(mask >> 1)
+            while free:
+                bit = free & -free
+                free ^= bit
+                shape = mask + (2 if bit == 1 else bit)
+                grown[shape] = grown.get(shape, 0) + count
+        layer = grown
+    return layer
 
 
 def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
     """g^{lam/mu} for every strict lam of size |mu| + n that contains mu,
     keyed by the parts of lam.
 
-    One forward sweep over part tuples: start from {mu: 1}; at each of the
-    n steps, add every addable cell of each shape and sum the counts that
-    arrive at the same tuple.  No partition objects and no memo.
+    One forward sweep on bitmask keys: a strict partition is the set of its
+    parts, kept as mask = 1 + sum_i 2^{lam_i} (bit 0 is a sentinel).  The
+    addable cells of a shape are the set bits of mask & ~(mask >> 1); part
+    p grows to p + 1 as mask + 2^p, and the sentinel adds a new part 1 as
+    mask + 2.  Start from {mu: 1}; at each of the n steps, add every
+    addable cell of each shape and sum the counts that arrive at the same
+    mask.  The masks become part tuples once, at the end.  The
+    corner-removal recursion is the test oracle, and ``g`` (the hook
+    formula) is the check for mu empty.
     """
-    layer = {mu.parts: 1}
-    for _ in range(n):
-        layer = _grow(layer)
-    return layer
+    return {_mask_parts(mask): count for mask, count in _skew_masks(mu, n).items()}
+
+
+def _strict_walk(n: int, powers: tuple):
+    """(mask, l(lam), g(lam), (p_r(lam) for r in powers)) for every strict
+    lam of n, with mask = _mask(lam.parts) as in ``skew_counts``.
+
+    Depth first over the parts, largest first, on an explicit stack, so a
+    prefix computes its share of the hook formula and of the power sums
+    once for every partition that extends it.  Each prefix is itself a
+    strict partition and carries its own g: by the shifted hook formula,
+    appending a part b below the parts a of a prefix of size s multiplies
+    g by C(s + b, b) prod (a - b) / prod (a + b), and that division is exact
+    because the result is the g of the longer prefix.  Appending b also adds
+    b^r to each p_r.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    power_rows = [tuple(b**r for r in powers) for b in range(n + 1)]
+    # (parts, mask, size, g, power sums) of a prefix
+    stack = [((), 1, 0, 1, (0,) * len(powers))]
+    while stack:
+        parts, mask, size, count, sums = stack.pop()
+        if size == n:
+            yield mask, len(parts), count, sums
+            continue
+        rest = n - size
+        for b in range(min(rest, parts[-1] - 1) if parts else rest, 0, -1):
+            if b * (b + 1) < 2 * rest:
+                break  # the parts below b sum to at most b(b-1)/2
+            numer = comb(size + b, b)
+            denom = 1
+            for a in parts:
+                numer *= a - b
+                denom *= a + b
+            stack.append(((*parts, b), mask | 1 << b, size + b, count * numer // denom,
+                          tuple(map(add, sums, power_rows[b]))))
 
 
 def g(lam: StrictPartition) -> int:

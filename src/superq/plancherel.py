@@ -6,14 +6,18 @@ factorial basis n^(j) = n(n-1)...(n-j+1) with exact rational coefficients;
 monomial and binomial C(n, j) renderings are exact, invertible views.
 
 Brute-force averages run in integers.  f is written as (1/D) sum_mu a_mu p_mu
-with D the lcm of its coefficient denominators; each strict lambda adds
-its integer measure weight (2^{n - l(lambda)} g(lambda)^2 for E_n) times
-sum_mu a_mu p_mu(lambda) to an integer total, and the one rational
+with D the lcm of its coefficient denominators, and p_1, which is |lambda|
+on every shape summed over, is folded into the coefficients: a_mu p_mu
+becomes a_mu |lambda|^{m_1(mu)} p_{mu~}.  One walk over the strict
+partitions (``partitions._strict_walk``) grows g(lambda) and the power sums
+a part at a time, shared along prefixes; each lambda adds its integer
+measure weight (2^{n - l(lambda)} g(lambda)^2 for E_n) times
+sum_mu a_mu p_mu~(lambda) to an integer total, and the one rational
 division per call is by D * n! (by D * (n + m)! * g(mu) / m! for E_{mu,n},
-whose skew counts come from one forward sweep, ``skew_counts``).  Their
-oracles are the per-lambda sums of ``prob`` (or ``prob_mu``) times
-``f.evaluate(lambda)`` in the tests, and the corner-removal recursion for
-the sweep.
+whose skew counts come from one forward sweep on bitmask keys,
+``skew_counts``, read by the walk through the same keys).  The oracles
+stay: in the tests, the per-lambda sums of ``prob`` (or ``prob_mu``) times
+``f.evaluate(lambda)``, and for the sweep the corner-removal recursion.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
@@ -39,15 +43,14 @@ from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
     OddPartition,
     StrictPartition,
-    _g_parts,
+    _skew_masks,
     _stirling1_row,
     _stirling2_row,
-    _strict_tuples,
+    _strict_walk,
     falling,
     g,
     g_skew,
     newton_differences,
-    skew_counts,
     z,
 )
 from .rational import Rat, ZERO, parse_rat, rat, rat_str
@@ -204,69 +207,92 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 # --- averages ----------------------------------------------------------------
 
 
-def _integer_form(f) -> tuple[int, list[tuple[int, tuple]]]:
-    """(D, [(a_mu, parts of mu)]) with f = (1/D) sum_mu a_mu p_mu, where D is
-    the lcm of the coefficient denominators and every a_mu is an integer."""
+def _integer_form(f, size: int) -> tuple[int, list[tuple[int, tuple]]]:
+    """(D, [(a, parts of mu~)]) with f = (1/D) sum a p_{mu~} on every strict
+    partition of ``size``, where D is the lcm of the coefficient denominators
+    and every a is a nonzero integer.
+
+    p_1 is the size of every such partition, so c_mu p_mu folds into
+    (c_mu size^{m_1(mu)}) p_{mu~}, mu~ being mu without its 1s; terms with
+    the same mu~ are merged and zeros dropped.
+    """
     if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
         raise TypeError(
             "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
             f"got {type(f).__name__}"
         )
     denom = lcm(*(c.denominator for c in f._coeffs.values()))
-    return denom, [(c.numerator * (denom // c.denominator), mu.parts)
-                   for mu, c in f._coeffs.items()]
+    folded: dict[tuple, int] = {}
+    for mu, c in f._coeffs.items():
+        ones = mu.parts.count(1)
+        add_into(folded, mu.parts[:len(mu.parts) - ones],
+                 c.numerator * (denom // c.denominator) * size**ones)
+    return denom, list(folded.items())
 
 
-def _weighted_total(terms, shapes) -> int:
-    """sum over (parts, weight) in shapes of weight * sum_mu a_mu prod_i
-    p_{mu_i}(parts), with every power sum p_r(parts) computed once per shape."""
-    powers = sorted({r for _, mu in terms for r in mu})
+def _weighted_total(terms, powers: tuple, shapes) -> int:
+    """sum over (weight, sums) in shapes of weight * sum_mu a_mu prod_i
+    p_{mu_i}, where sums holds p_r for r in powers."""
+    index = {r: i for i, r in enumerate(powers)}
+    monomials = [(a, [index[r] for r in mu]) for mu, a in terms]
     total = 0
-    for parts, weight in shapes:
-        psums = {r: sum([x**r for x in parts]) for r in powers}
+    for weight, sums in shapes:
         value = 0
-        for a, mu in terms:
-            for r in mu:
-                a *= psums[r]
+        for a, mu in monomials:
+            for i in mu:
+                a *= sums[i]
             value += a
         total += weight * value
     return total
+
+
+def _powers(terms) -> tuple:
+    # the r of every p_r that the folded terms read
+    return tuple(sorted({r for mu, _ in terms for r in mu}))
 
 
 def average_bruteforce(f, n: int) -> Rat:
     """E_n[f] summed over all strict partitions of n, in integers.
 
     f is a ``GammaElement`` or an ``OrdinaryPSumExpr`` (even parts allowed),
-    written as (1/D) sum_mu a_mu p_mu with integer a_mu.  Each lambda adds
+    written as (1/D) sum_mu a_mu p_mu with integer a_mu, and p_1 = n folded
+    into the coefficients.  One walk over the strict partitions of n
+    (``partitions._strict_walk``) builds g(lambda) and the power sums a
+    part at a time, shared along prefixes; each lambda adds
     2^{n - l(lambda)} g(lambda)^2 * sum_mu a_mu p_mu(lambda) to an integer
     total, and the one division is by D * n!.  The per-lambda route
     sum_lambda prob(n, lambda) * f.evaluate(lambda) is the test oracle.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    denom, terms = _integer_form(f)
-    shapes = ((lam, _g_parts(lam) ** 2 << (n - len(lam)))
-              for lam in _strict_tuples(n, n))
-    return rat(_weighted_total(terms, shapes), denom * factorial(n))
+    denom, terms = _integer_form(f, n)
+    powers = _powers(terms)
+    shapes = ((count * count << (n - length), sums)
+              for _, length, count, sums in _strict_walk(n, powers))
+    return rat(_weighted_total(terms, powers, shapes), denom * factorial(n))
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     """E_{mu,n}[f] summed over all strict partitions of n + |mu|, in integers.
 
-    As ``average_bruteforce``, with the weight
+    As ``average_bruteforce``, with p_1 = n + m folded in, the weight
     2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu} and the one division by
     D * (n + m)! * g(mu) / m!, m = |mu|.  The skew counts of every lambda
-    come from one forward sweep (``skew_counts``); the per-lambda route
-    through ``prob_mu`` is the test oracle.
+    come from one forward sweep on bitmask keys (``skew_counts``), matched
+    to the walk by the same keys; the per-lambda route through ``prob_mu``
+    is the test oracle.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    denom, terms = _integer_form(f)
     m = mu.size
+    denom, terms = _integer_form(f, n + m)
+    powers = _powers(terms)
+    skews = _skew_masks(mu, n)
     shift = n + mu.length
-    shapes = ((lam, _g_parts(lam) * skew << (shift - len(lam)))
-              for lam, skew in skew_counts(mu, n).items())
-    return rat(_weighted_total(terms, shapes) * factorial(m),
+    shapes = ((count * skews[mask] << (shift - length), sums)
+              for mask, length, count, sums in _strict_walk(n + m, powers)
+              if mask in skews)
+    return rat(_weighted_total(terms, powers, shapes) * factorial(m),
                denom * factorial(n + m) * g(mu))
 
 

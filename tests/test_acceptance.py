@@ -90,8 +90,8 @@ def _shifted_p2_values(route):
 
 def _term_above_rhs(route):
     # adds fp_{1^k} with deg1 = 2k above deg1(sigma) + deg1(tau)
-    def wrong(sigma, tau):
-        yield from route(sigma, tau)
+    def wrong(sigma, tau, memo):
+        yield from route(sigma, tau, memo)
         yield (), explorer._deg1_of(sigma) + explorer._deg1_of(tau) + 1, 1
     return wrong
 

@@ -1,7 +1,13 @@
 import copy
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import superq
 from superq import explorer
 from superq.explorer import (
     ScanReport,
@@ -114,8 +120,8 @@ def test_scan_equals_the_folded_structure_constants(monkeypatch):
     # structure_constants
     route = explorer._terms
 
-    def with_violations(sigma, tau):
-        yield from route(sigma, tau)
+    def with_violations(sigma, tau, memo):
+        yield from route(sigma, tau, memo)
         if sigma.size + tau.size == 5:
             yield (3,), 4, -7
             yield (), 6, 1
@@ -162,6 +168,32 @@ def test_corrupt_node_trips_the_degree_check(monkeypatch):
     monkeypatch.setattr(explorer, "_spin_sums", corrupted)
     with pytest.raises(ArithmeticError, match="degree-check node"):
         structure_constants(OddPartition((3,)), OddPartition((3,)))
+
+
+_SCAN_RETAINED = textwrap.dedent("""
+    import gc, tracemalloc
+    from superq import explorer
+    from superq.partitions import enumerate_odd
+    for n in range(18):  # the tables and row packings a scan to 16 reads
+        explorer._packed_rows(n)
+        enumerate_odd(n)
+    gc.collect()
+    tracemalloc.start()
+    explorer.deg1_conjecture_scan(16)
+    gc.collect()
+    print(tracemalloc.get_traced_memory()[0])
+""")
+
+
+def test_scan_keeps_no_sums_after_it_returns():
+    # a fresh interpreter, so that no earlier scan has filled any memo
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCAN_RETAINED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100_000
 
 
 def test_lab_cap():

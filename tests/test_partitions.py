@@ -8,11 +8,14 @@ import pytest
 from superq import partitions
 from recursive_oracle import oracle_g_skew
 from superq.partitions import (
+    EMPTY_STRICT,
     Cell,
     OddPartition,
     StrictPartition,
+    _mask,
     _stirling1_row,
     _stirling2_row,
+    _strict_walk,
     add_cell,
     contains,
     corners,
@@ -246,6 +249,43 @@ def test_skew_sweep_equals_recursive_g_skew():
                 want = {lam.parts: oracle_g_skew(lam, mu)
                         for lam in enumerate_strict(m + n) if contains(lam, mu)}
                 assert skew_counts(mu, n) == want
+
+
+def test_walk_equals_enumeration_with_hook_formula():
+    # the prefix-shared walk against g and power sums computed shape by shape
+    powers = (1, 2, 3, 6)
+    for n in range(31):
+        want = sorted((_mask(lam.parts), lam.length, g(lam),
+                       tuple(sum(part**r for part in lam) for r in powers))
+                      for lam in enumerate_strict(n))
+        assert sorted(_strict_walk(n, powers)) == want
+    assert set(_strict_walk(4, ())) == {(_mask((3, 1)), 2, 2, ()), (_mask((4,)), 1, 1, ())}
+    with pytest.raises(ValueError):
+        list(_strict_walk(-1, ()))
+
+
+def test_skew_sweep_from_empty_equals_hook_formula():
+    for n in range(26):
+        counts = skew_counts(EMPTY_STRICT, n)
+        assert counts == {lam.parts: g(lam) for lam in enumerate_strict(n)}
+
+
+def test_skew_sweep_does_not_recurse():
+    # 40 steps of the sweep with 20 frames to spare, and bit 300 of a mask key
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        long_sweep = skew_counts(StrictPartition((1,)), 40)
+        wide = skew_counts(StrictPartition((297,)), 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert long_sweep[(41,)] == 1 and long_sweep[(40, 1)] == 39
+    assert wide == {(300,): 1, (299, 1): 3, (298, 2): 3, (297, 3): 1, (297, 2, 1): 1}
+    for parts, count in wide.items():
+        assert g_skew(StrictPartition(parts), StrictPartition((297,))) == count
 
 
 def test_g_on_large_shapes():

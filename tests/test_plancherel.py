@@ -21,6 +21,7 @@ from superq.partitions import (
 )
 from superq.plancherel import (
     PolynomialInN,
+    _integer_form,
     average_bruteforce,
     average_mu_bruteforce,
     _interpolate,
@@ -189,6 +190,49 @@ def test_integer_route_equals_per_shape_sum(f, n):
 @example(OrdinaryPSumExpr({(2,): rat(1, 3**20)}), StrictPartition((3, 1)), 12)
 def test_mu_integer_route_equals_per_shape_sum(f, mu, n):
     assert average_mu_bruteforce(f, mu, n) == oracle_average_mu(f, mu, n)
+
+
+def heavy_in_ones():
+    # p_1 folds into the coefficients: whole terms, parts of terms, an even
+    # part next to 1s, and terms that cancel once folded
+    return [
+        p(1) ** 6,
+        GammaElement.term((3, 1, 1, 1), rat(5, 7)) + p(3) - 2 * p(1),
+        OrdinaryPSumExpr({(2, 1, 1): rat(-3, 11), (2,): 1, (1,): rat(1, 2)}),
+        GammaElement({(1, 1): 1, (1,): -2}),
+    ]
+
+
+def test_integer_route_equals_per_shape_sum_beyond_hypothesis():
+    for n in range(13, 23):
+        for f in heavy_in_ones():
+            assert average_bruteforce(f, n) == oracle_average(f, n)
+
+
+def test_mu_integer_route_equals_per_shape_sum_beyond_hypothesis():
+    for n in range(13, 23):
+        mu = (StrictPartition((2, 1)), StrictPartition((3,)), StrictPartition((4, 1)))[n % 3]
+        for f in heavy_in_ones():
+            assert average_mu_bruteforce(f, mu, n) == oracle_average_mu(f, mu, n)
+
+
+def test_folded_terms_that_cancel():
+    # p_{1,1} - 2 p_1 is n^2 - 2n on every strict partition of n
+    f = GammaElement({(1, 1): 1, (1,): -2})
+    assert average_bruteforce(f, 2) == 0
+    assert average_bruteforce(f, 3) == 3
+    assert average_mu_bruteforce(f, StrictPartition((1,)), 1) == 0
+    assert average_mu_bruteforce(f, StrictPartition((1,)), 2) == 3
+
+
+def test_fold_leaves_the_parts_above_1():
+    f = GammaElement({rho: 1 for d in range(1, 7) for rho in enumerate_odd(d)})
+    assert len(f.support()) == 13
+    denom, terms = _integer_form(f, 10)
+    # p_(1^k) -> 10^k, p_(3,1^k) -> 10^k p_3, p_(5,1) -> 10 p_5, p_(3,3)
+    assert denom == 1
+    assert dict(terms) == {(): 10 + 100 + 1000 + 10**4 + 10**5 + 10**6,
+                           (3,): 1 + 10 + 100 + 1000, (5,): 1 + 10, (3, 3): 1}
 
 
 def test_large_measure_normalization():
