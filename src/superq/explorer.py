@@ -29,8 +29,8 @@ the difference at the last node must vanish, and a nonzero one raises
 polynomial functions on Young diagrams.  The sums S depend only on
 (sigma~, tau~, n), so pairs that differ in their parts equal to 1 share
 them, through a memo that lives for one scan or one
-``structure_constants`` call.  The peeling ``expand_gamma_in_frak(frak_p(sigma) * frak_p(tau))`` is
-the independent route the tests compare against.
+``structure_constants`` call.  Peeling the top-degree terms of
+frak_p(sigma) * frak_p(tau), a test oracle, is the independent route.
 
 The sums S for all rho_n of one n come from one integer: each row lambda of
 the table is packed as sum_j X^lambda_{rho_j} B^j, and sum_lambda
@@ -352,7 +352,7 @@ def p2_experiment(max_n: int, cap: int = 14) -> P2Report:
     if max_n < 6:
         raise ValueError("max_n must be at least 6 to cover the reference table")
     if max_n > cap:
-        raise ValueError(f"max_n = {max_n} exceeds the cap {cap}; raise cap= to allow")
+        raise ValueError(f"max_n = {max_n} exceeds the cap {cap}; raise cap= (--cap) to allow")
     p2 = OrdinaryPSumExpr.p(2)
     values = [(n, average_bruteforce(p2, n)) for n in range(0, max_n + 1)]
     by_n = dict(values)

@@ -11,11 +11,11 @@ the first kind:
 
     P*_mu = sum_j sign(j) s(mu_1, j_1) ... s(mu_l, j_l) P_{sort j}.
 
-``p_star`` is the s-system applied to the P-functions, and
-``psi_iso_inverse`` the T-system applied to the P-coefficients of an
-element.  The closed-form evaluation
-P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} / g^lambda is the
-independent route that pins P*_mu down.
+``p_star`` is the s-system applied to the P-functions; ``expand_in_pstar``,
+the T-system applied to the P-coefficients, gives the b with
+f = sum_mu b_mu P*_mu, and ``psi_iso_inverse(f)`` is sum_mu b_mu P_mu.
+The closed-form evaluation P*_mu(lambda) = |lambda|^{falling |mu|}
+g^{lambda/mu} / g^lambda is the independent route that pins P*_mu down.
 """
 
 from __future__ import annotations
@@ -108,14 +108,19 @@ def psi_iso(f: GammaElement) -> GammaElement:
     return GammaElement._wrap(out)
 
 
-def psi_iso_inverse(f: GammaElement) -> GammaElement:
-    """The inverse isomorphism: P-coefficients through the T-system, so
-    f = sum_lambda b_lambda P*_lambda maps to sum_lambda b_lambda P_lambda."""
+def expand_in_pstar(f: GammaElement) -> dict[StrictPartition, Rat]:
+    """The b with f = sum_mu b_mu P*_mu: the T-system applied to the
+    P-coefficients of f, since P_nu = sum_mu T_{nu,mu} P*_mu."""
     coeffs: dict = {}
     for nu, c in expand_in_P(f).items():
-        for lam, t in p_to_pstar_coeffs(nu).items():
-            add_into(coeffs, lam, c * t)
+        for mu, t in p_to_pstar_coeffs(nu).items():
+            add_into(coeffs, mu, c * t)
+    return coeffs
+
+
+def psi_iso_inverse(f: GammaElement) -> GammaElement:
+    """The inverse isomorphism: f = sum_mu b_mu P*_mu maps to sum_mu b_mu P_mu."""
     out: dict = {}
-    for lam, b in coeffs.items():
-        add_scaled(out, p_fn(lam), b)
+    for mu, b in expand_in_pstar(f).items():
+        add_scaled(out, p_fn(mu), b)
     return GammaElement._wrap(out)

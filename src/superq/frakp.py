@@ -5,8 +5,9 @@ of p_rho under the isomorphism Psi: P_lambda -> P*_lambda.  It has
 top-degree term p_rho, evaluates in closed form through a single character
 value, and is the basis in which shifted Plancherel averages become trivial
 to read off.  Because Psi(p_sigma) = frak_p(sigma), the frak-p coefficients
-of p_rho are the p-coefficients of Psi^{-1}(p_rho); the top-degree peeling
-of ``expand_gamma_in_frak`` is the second, independent route.
+of any element f are the p-coefficients of Psi^{-1}(f), which goes through
+the T-system of ``factorial.expand_in_pstar``; ``assemble`` (Psi through
+the s-system) is the independent route back.
 A ``FrakExpansion`` stores coefficients in this basis; it deliberately is
 not a ``GammaElement`` so the two bases cannot be mixed up.
 """
@@ -67,26 +68,14 @@ def frak_p_eval(rho: OddPartition, lam: StrictPartition) -> Rat:
 
 
 def expand_p_in_frak(rho: OddPartition) -> FrakExpansion:
-    """Expand p_rho in the frak-p basis: since Psi(p_sigma) = frak_p(sigma),
-    the coefficients are the p-coefficients of Psi^{-1}(p_rho)."""
-    return FrakExpansion._wrap(psi_iso_inverse(GammaElement.p(rho))._coeffs)
+    """Expand p_rho in the frak-p basis."""
+    return expand_gamma_in_frak(GammaElement.p(rho))
 
 
 def expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
-    """Coefficients of an arbitrary element in the frak-p basis.
-
-    Peels homogeneous top components: frak_p(rho) = p_rho + lower degree,
-    so the top p-coefficients are the top frak-p coefficients.
-    """
-    coeffs: dict[OddPartition, Rat] = {}
-    remainder = dict(f._coeffs)
-    while remainder:
-        d = max(rho.size for rho in remainder)
-        top = [(rho, c) for rho, c in remainder.items() if rho.size == d]
-        for rho, c in top:
-            coeffs[rho] = c
-            add_scaled(remainder, frak_p(rho), -c)
-    return FrakExpansion._wrap(coeffs)
+    """Coefficients of an arbitrary element in the frak-p basis: since
+    Psi(p_sigma) = frak_p(sigma), they are the p-coefficients of Psi^{-1}(f)."""
+    return FrakExpansion._wrap(psi_iso_inverse(f)._coeffs)
 
 
 def assemble(expansion: FrakExpansion) -> GammaElement:

@@ -25,9 +25,10 @@ brute-force values at n = 0..d determine them, and Newton forward
 differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
 One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
 
-The frak-p expansion is the independent route (``*_frak``), kept as the
-oracle for tests and ``superq verify``: E_n picks out the coefficients of
-frak_p((1^r)), and E_{mu,n} sends each frak_p(rho) to
+The independent routes (``*_frak``) are the oracles for tests and ``superq
+verify``.  E_n reads the P*-coefficients of f = sum_mu b_mu P*_mu
+(``expand_in_pstar``) through E_n[P*_mu] = 2^{|mu| - l(mu)} g(mu) / |mu|! *
+n^(|mu|), and E_{mu,n} sends each frak_p(rho) of the frak-p expansion to
 (n + |mu| - |rho-tilde|)^(m_1(rho)) * frak_p(rho-tilde)(mu).
 """
 
@@ -38,6 +39,7 @@ from collections.abc import Mapping
 from math import comb, factorial, lcm
 
 from .content import OrdinaryPSumExpr
+from .factorial import expand_in_pstar
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
 from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
@@ -317,8 +319,8 @@ def average_symbolic(f: GammaElement) -> PolynomialInN:
 
     With d = deg f, Newton forward differences of average_bruteforce at
     n = 0..d give the falling-factorial coefficients; the value at n = d + 1
-    checks the polynomiality theorem.  ``average_symbolic_frak`` is the
-    independent route.
+    checks the polynomiality theorem.  ``average_symbolic_frak``, read off
+    the P*-coefficients of f, is the independent route.
     """
     _require_gamma(f)
     d = max(f.degree(), 0)
@@ -337,14 +339,15 @@ def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
 
 
 def average_symbolic_frak(f: GammaElement) -> PolynomialInN:
-    """E_n[f] as an exact polynomial: the (1^r) frak-p coefficients of f."""
+    """E_n[f] as an exact polynomial, read off the P*-coefficients of f:
+    f = sum_mu b_mu P*_mu averages to
+    sum_mu b_mu 2^{|mu| - l(mu)} g(mu) / |mu|! * n^(|mu|)."""
     _require_gamma(f)
-    expansion = expand_gamma_in_frak(f)
-    coeffs = {}
-    for rho, a in expansion.items():
-        if all(p == 1 for p in rho.parts):
-            coeffs[rho.length] = a
-    return PolynomialInN(coeffs)
+    coeffs: dict[int, Rat] = {}
+    for mu, b in expand_in_pstar(f).items():
+        m = mu.size
+        add_into(coeffs, m, b * rat(2 ** (m - mu.length) * g(mu), factorial(m)))
+    return PolynomialInN._wrap(coeffs)
 
 
 def average_mu_symbolic_frak(f: GammaElement, mu: StrictPartition) -> PolynomialInN:

@@ -1,14 +1,16 @@
-"""Recursive routes kept as test oracles of the closed forms and sweeps in
+"""Slow routes kept as test oracles of the closed forms and sweeps in
 superq: g^{lambda/mu} by corner removal, P*_mu by unitriangular inversion
-of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, and hat_p(k)
+of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, hat_p(k)
 by the unitriangular system of the telescoping identity
-p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}]."""
+p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], and the frak-p
+expansion of an element by peeling its top-degree terms."""
 
 from functools import cache
 from math import comb
 
 from superq.content import EvenPolynomial, rewrite_XY
 from superq.factorial import p_to_pstar_coeffs
+from superq.frakp import FrakExpansion, frak_p
 from superq.gamma import GammaElement, add_scaled
 from superq.partitions import StrictPartition, contains, outer_corners, remove_cell
 from superq.rational import rat
@@ -50,3 +52,18 @@ def oracle_hat_p(k: int) -> GammaElement:
         if alpha[r]:
             acc = acc - (alpha[r] * 2**r) * oracle_hat_p(r)
     return acc * rat(1, 2**k * (2 * k + 1))
+
+
+def oracle_expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
+    """Frak-p coefficients by peeling homogeneous top components:
+    frak_p(rho) = p_rho + lower degree, so the top p-coefficients are the
+    top frak-p coefficients."""
+    coeffs = {}
+    remainder = dict(f._coeffs)
+    while remainder:
+        d = max(rho.size for rho in remainder)
+        top = [(rho, c) for rho, c in remainder.items() if rho.size == d]
+        for rho, c in top:
+            coeffs[rho] = c
+            add_scaled(remainder, frak_p(rho), -c)
+    return FrakExpansion._wrap(coeffs)

@@ -1,13 +1,20 @@
-"""Acceptance suite: the eleven exit criteria, all at zero tolerance.
+"""Acceptance suite: the eleven exit criteria, all at zero tolerance, and
+the paper's closed form for the averages of the factorial P*-functions.
 
-Each test recomputes its criterion through the verify engine (the same
-functions behind ``superq verify``) and prints one PASS/FAIL line; any
+Each criterion test recomputes its criterion through the verify engine (the
+same functions behind ``superq verify``) and prints one PASS/FAIL line; any
 mismatch carries the failing detail in the assertion message.
 """
+
+from math import factorial
 
 import pytest
 
 from superq import explorer, verify
+from superq.factorial import p_star
+from superq.partitions import enumerate_strict, g
+from superq.plancherel import PolynomialInN, average_bruteforce, average_symbolic_frak
+from superq.rational import rat
 
 
 def _report(number: int, title: str, result) -> None:
@@ -73,6 +80,20 @@ def test_criterion_11_conjecture_scan():
     assert "pairs" in result.detail  # scanned-pair count is emitted
 
 
+def test_pstar_averages_match_the_closed_form():
+    # E_n[P*_mu] = 2^{|mu| - l(mu)} g(mu) / |mu|! * n^(|mu|) for every strict
+    # |mu| <= 10; brute force checks it beyond the nodes 0..|mu| + 1
+    shapes = [mu for m in range(11) for mu in enumerate_strict(m)]
+    assert len(shapes) == 43
+    for mu in shapes:
+        m = mu.size
+        closed = PolynomialInN({m: rat(2 ** (m - mu.length) * g(mu), factorial(m))})
+        f = p_star(mu)
+        assert average_symbolic_frak(f) == closed, mu
+        for n in (m + 2, m + 5):
+            assert average_bruteforce(f, n) == closed.evaluate(n), (mu, n)
+
+
 def _plus_one(route):
     return lambda *args: route(*args) + 1
 
@@ -101,6 +122,7 @@ BROKEN_ROUTES = [
     ("check_measure_normalization", verify, "prob", _plus_one),
     ("check_character_integrity", verify, "g", _plus_one),
     ("check_polynomial_averages", verify, "average_bruteforce", _plus_one),
+    ("check_polynomial_averages", verify, "average_symbolic_frak", _plus_one),
     ("check_golden_expansions", verify, "assemble", _negated),
     ("check_deformed_average_constants", verify, "frak_p_eval", _plus_one),
     ("check_product_average_orthogonality", verify, "product_average_closed_form",
@@ -113,8 +135,16 @@ BROKEN_ROUTES = [
 ]
 
 
+def _row_ids(rows):
+    # the check's name, and check-route for its second route
+    seen = set()
+    for check, _, route, _ in rows:
+        yield f"{check}-{route}" if check in seen else check
+        seen.add(check)
+
+
 @pytest.mark.parametrize("check, module, route, breakage", BROKEN_ROUTES,
-                         ids=[row[0] for row in BROKEN_ROUTES])
+                         ids=list(_row_ids(BROKEN_ROUTES)))
 def test_every_check_can_fail(monkeypatch, check, module, route, breakage):
     monkeypatch.setattr(module, route, breakage(getattr(module, route)))
     result = getattr(verify, check)()

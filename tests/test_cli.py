@@ -265,7 +265,9 @@ def test_lab_cap_is_a_quick_domain_error(argv):
 @pytest.mark.parametrize("argv, message", [
     (("pstar", "13,11,9,7,5"), "|mu| = 45 exceeds the cap 30; raise --cap to allow"),
     (("chartable", "40"), "k = 40 exceeds the cap 30; raise --cap to allow"),
-], ids=["pstar", "chartable"])
+    (("lab", "p2", "--max-n", "15"),
+     "max_n = 15 exceeds the cap 14; raise cap= (--cap) to allow"),
+], ids=["pstar", "chartable", "lab-p2"])
 def test_work_budget_is_a_quick_domain_error(argv, message):
     start = time.perf_counter()
     assert assert_domain_error_in_subprocess(*argv) == message

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import superq
+from recursive_oracle import oracle_expand_gamma_in_frak
 from superq import explorer
 from superq.explorer import (
     ScanReport,
@@ -16,7 +17,7 @@ from superq.explorer import (
     p2_experiment,
     structure_constants,
 )
-from superq.frakp import expand_gamma_in_frak, frak_p
+from superq.frakp import frak_p
 from superq.partitions import OddPartition, enumerate_odd, term_sort_key
 from superq.plancherel import PolynomialInN, product_average_check
 from superq.rational import rat
@@ -55,7 +56,7 @@ def _peeled_records(sigma, tau):
     deg1 = explorer._deg1_of
     records = [
         StructureConstantRecord(sigma, tau, rho, value, deg1(rho), deg1(sigma) + deg1(tau))
-        for rho, value in expand_gamma_in_frak(frak_p(sigma) * frak_p(tau)).items()
+        for rho, value in oracle_expand_gamma_in_frak(frak_p(sigma) * frak_p(tau)).items()
     ]
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
+from recursive_oracle import oracle_expand_gamma_in_frak
 from superq.factorial import p_star
 from superq.frakp import (
     FrakExpansion,
@@ -124,15 +125,20 @@ def test_expand_gamma_examples():
 
 
 def test_expansions_agree_between_routes():
-    # Psi^{-1}(p_rho) through the T-system against the frak-p peeling
+    # Psi^{-1} through the T-system against the frak-p peeling oracle
     for k in range(11):
         for rho in enumerate_odd(k):
-            assert expand_gamma_in_frak(p(rho)) == expand_p_in_frak(rho)
+            assert expand_p_in_frak(rho) == oracle_expand_gamma_in_frak(p(rho))
+    for k in range(3, 7):
+        f = p(3) ** k + 7 * p((5, 1)) - p((1, 1))
+        assert expand_gamma_in_frak(f) == oracle_expand_gamma_in_frak(f)
 
 
 @given(strat.gamma_elements(max_degree=7))
 def test_round_trip(f):
-    assert assemble(expand_gamma_in_frak(f)) == f
+    expansion = expand_gamma_in_frak(f)
+    assert expansion == oracle_expand_gamma_in_frak(f)
+    assert assemble(expansion) == f
 
 
 def test_deg1_examples():
