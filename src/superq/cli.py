@@ -18,7 +18,13 @@ import sys
 
 from . import verify as verify_mod
 from .content import OrdinaryPSumExpr, hat_F, hat_p, phi_series_check, psi, psi_direct
-from .explorer import LAB_CAP, deg1_conjecture_scan, p2_experiment, structure_constants
+from .explorer import (
+    LAB_CAP,
+    P2_CAP,
+    deg1_conjecture_scan,
+    p2_experiment,
+    structure_constants,
+)
 from .expr import parse_and_eval
 from .factorial import p_star, p_star_eval
 from .frakp import deg1, expand_gamma_in_frak, expand_p_in_frak, frak_p_eval
@@ -346,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("p2", cmd_lab_p2, "E_n[p2] table and quadratic-fit failure",
             group=lab_sub)
     p.add_argument("--max-n", type=ascii_int, default=6)
-    p.add_argument("--cap", type=ascii_int, default=14)
+    p.add_argument("--cap", type=ascii_int, default=P2_CAP,
+                   help="largest --max-n allowed (default %(default)s)")
     p = add("fstruct", cmd_lab_fstruct, "structure constants of a product",
             group=lab_sub)
     p.add_argument("sigma")

@@ -72,6 +72,10 @@ from .schurq import character_table
 # 2 s; each total above it adds about 60%.
 LAB_CAP = 23
 
+# Default bound on max_n for the E_n[p_2] experiment, whose brute-force
+# averages walk every strict partition of each n <= max_n.
+P2_CAP = 14
+
 
 def _deg1_of(rho: OddPartition) -> int:
     return rho.size + rho.multiplicity(1)
@@ -341,7 +345,7 @@ class P2Report(namedtuple("P2Report", "max_n values fit_nodes residuals")):
         }
 
 
-def p2_experiment(max_n: int, cap: int = 14) -> P2Report:
+def p2_experiment(max_n: int, cap: int = P2_CAP) -> P2Report:
     """Exact E_n[p_2] for n <= max_n plus a degree-2 interpolation check.
 
     The interpolating quadratic through n = 1, 2, 3 is evaluated exactly at

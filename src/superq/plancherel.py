@@ -172,8 +172,18 @@ class PolynomialInN(SparseTerms):
 
     @classmethod
     def from_json_obj(cls, obj) -> "PolynomialInN":
-        """Inverse of ``to_json_obj``, read from its "falling" view."""
-        return cls({int(j): parse_rat(c) for j, c in obj["falling"].items()})
+        """Inverse of ``to_json_obj``, read from its "falling" view: a
+        mapping from degrees in ASCII digits to rational literals."""
+        falling = obj.get("falling") if isinstance(obj, dict) else None
+        if not isinstance(falling, dict):
+            raise ValueError(f'expected {{"falling": {{degree: coeff}}}}, got {obj!r}')
+        pairs = []
+        for j, c in falling.items():
+            if not (isinstance(j, str) and j.isascii() and j.isdigit()
+                    and isinstance(c, str)):
+                raise ValueError(f"bad falling term {j!r}: {c!r}")
+            pairs.append((int(j), parse_rat(c)))
+        return cls(pairs)
 
 
 def falling_shifted(shift: int, k: int) -> PolynomialInN:

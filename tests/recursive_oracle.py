@@ -2,18 +2,19 @@
 superq: g^{lambda/mu} by corner removal, P*_mu by unitriangular inversion
 of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, hat_p(k)
 by the unitriangular system of the telescoping identity
-p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], and the frak-p
-expansion of an element by peeling its top-degree terms."""
+p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], the frak-p
+expansion of an element by peeling its top-degree terms, and the Han-Xiong
+generating-series identity by truncated power-series products and exp."""
 
 from functools import cache
-from math import comb
+from math import comb, factorial
 
-from superq.content import EvenPolynomial, rewrite_XY
+from superq.content import EvenPolynomial, psi_direct, rewrite_XY
 from superq.factorial import p_to_pstar_coeffs
 from superq.frakp import FrakExpansion, frak_p
 from superq.gamma import GammaElement, add_scaled
 from superq.partitions import StrictPartition, contains, outer_corners, remove_cell
-from superq.rational import rat
+from superq.rational import ONE, ZERO, rat
 from superq.schurq import p_fn
 
 
@@ -67,3 +68,58 @@ def oracle_expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
             coeffs[rho] = c
             add_scaled(remainder, frak_p(rho), -c)
     return FrakExpansion._wrap(coeffs)
+
+
+# --- truncated power series in u (exact, list index = power) --------------------
+
+
+def _series_mul(a, b, order):
+    out = [ZERO] * (order + 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if i + j > order:
+                break
+            if cb:
+                out[i + j] += ca * cb
+    return out
+
+
+def _series_geometric(ratio, order):
+    # 1 / (1 - ratio*u) truncated.
+    out = [ONE]
+    for _ in range(order):
+        out.append(out[-1] * ratio)
+    return out
+
+
+def _series_exp(s, order):
+    # exp(s) for a series with zero constant term, truncated.
+    out = [ONE] + [ZERO] * order
+    power = [ONE] + [ZERO] * order
+    for j in range(1, order + 1):
+        power = _series_mul(power, s, order)
+        inv_fact = rat(1, factorial(j))
+        for i in range(order + 1):
+            if power[i]:
+                out[i] += power[i] * inv_fact
+    return out
+
+
+def oracle_phi_series_check(lam: StrictPartition, order: int) -> bool:
+    """Check, coefficientwise to the given order, that
+
+    prod_i (1 - lam_i(lam_i - 1) u) / (1 - lam_i(lam_i + 1) u)
+        = exp(sum_k u^k psi_k(lambda) / k).
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    lhs = [ONE] + [ZERO] * order
+    for part in lam.parts:
+        numer = [ONE, rat(-part * (part - 1))]
+        lhs = _series_mul(lhs, numer, order)
+        lhs = _series_mul(lhs, _series_geometric(rat(part * (part + 1)), order), order)
+    log_rhs = [ZERO] + [psi_direct(k, lam) * rat(1, k) for k in range(1, order + 1)]
+    rhs = _series_exp(log_rhs, order)
+    return lhs == rhs

@@ -102,6 +102,11 @@ def _negated(route):
     return lambda *args: -route(*args)
 
 
+def _inverted(route):
+    # for a bool route, where -True is still truthy
+    return lambda *args: not route(*args)
+
+
 def _shifted_p2_values(route):
     def wrong(max_n):
         report = route(max_n)
@@ -129,6 +134,7 @@ BROKEN_ROUTES = [
      _plus_one),
     ("check_han_xiong_identity", verify, "average_mu_symbolic_frak", _plus_one),
     ("check_corner_functions", verify, "psi", _negated),
+    ("check_corner_functions", verify, "phi_series_check", _inverted),
     ("check_p2_experiment", verify, "p2_experiment", _shifted_p2_values),
     ("check_discrepancy_guard", verify, "average_bruteforce", _plus_one),
     ("check_conjecture_scan", explorer, "_terms", _term_above_rhs),

@@ -196,14 +196,16 @@ def test_domain_error_exits_1(capsys):
     assert code == 1
 
 
-def assert_domain_error_in_subprocess(*argv):
+def superq_in_subprocess(*argv, module="superq"):
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superq.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_domain_error_in_subprocess(*argv):
+    proc = superq_in_subprocess(*argv, module="superq.cli")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
@@ -220,12 +222,8 @@ def test_too_large_input_is_a_domain_error():
 
 
 def test_content_hatp_60_is_quick():
-    env = dict(os.environ)
-    src = str(Path(superq.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "superq", "content", "hatp", "60"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = superq_in_subprocess("content", "hatp", "60")
     assert time.perf_counter() - start < 2
     assert proc.returncode == 0
     # F(m) = sum_{c<m} (c(c+1)/2)^60 leads with m^121 / (2^60 * 121)
@@ -235,16 +233,21 @@ def test_content_hatp_60_is_quick():
 
 def test_content_hatp_200_is_quick():
     # the Stirling rows are built once each, so hat_p(k) costs about k^2
-    env = dict(os.environ)
-    src = str(Path(superq.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "superq", "content", "hatp", "200"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = superq_in_subprocess("content", "hatp", "200")
     assert time.perf_counter() - start < 2
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0] == {"partition": "401",
                                           "coeff": f"1/{2**200 * 401}"}
+
+
+def test_phi_check_400_is_quick():
+    # the identity is checked on logarithms: psi_k against a row sum, k <= 400
+    start = time.perf_counter()
+    proc = superq_in_subprocess("phi-check", "5,4,2", "400")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    assert '"identity_holds": true' in proc.stdout
 
 
 def test_gskew_on_a_long_row(capsys):
@@ -406,11 +409,7 @@ def test_cli_import_skips_typing_and_dataclasses():
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
-    src = str(Path(superq.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "superq", "g", "4,1"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = superq_in_subprocess("g", "4,1")
     assert proc.returncode == 0 and proc.stdout == "3\n"
 
 

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import strategies as strat
-from recursive_oracle import oracle_hat_p
+from recursive_oracle import (
+    _series_exp,
+    _series_geometric,
+    _series_mul,
+    oracle_hat_p,
+    oracle_phi_series_check,
+)
 from superq.content import (
     EvenPolynomial,
     OrdinaryPSumExpr,
@@ -17,9 +23,6 @@ from superq.content import (
     psi,
     psi_direct,
     rewrite_XY,
-    _series_exp,
-    _series_geometric,
-    _series_mul,
 )
 from superq.gamma import GammaElement
 from superq.partitions import (
@@ -236,6 +239,17 @@ def test_phi_series_check_examples():
     assert phi_series_check(StrictPartition((5, 4, 2)), 8)
     with pytest.raises(ValueError):
         phi_series_check(StrictPartition((2, 1)), 0)
+
+
+def test_phi_series_check_matches_the_exp_route():
+    # log route against exp of the truncated series, both exact
+    for order in range(1, 9):
+        for n in range(16):
+            for lam in enumerate_strict(n):
+                assert (phi_series_check(lam, order)
+                        == oracle_phi_series_check(lam, order))
+    lam = StrictPartition((5, 4, 2))
+    assert phi_series_check(lam, 40) == oracle_phi_series_check(lam, 40)
 
 
 def test_phi_series_check_sample():

@@ -70,6 +70,19 @@ def test_basis_conversions_round_trip(coeffs):
     assert PolynomialInN.from_json_obj(poly.to_json_obj()) == poly
 
 
+@pytest.mark.parametrize("obj", [
+    {"falling": {"\u0663": "1"}},  # Arabic-Indic three
+    {"falling": {"1_0": "1"}},
+    {"falling": {" 2 ": "1"}},
+    {"falling": {"-1": "1"}},  # would be n^(-1)
+    {"falling": [1]},
+    {},
+])
+def test_from_json_obj_refuses_bad_input(obj):
+    with pytest.raises(ValueError):
+        PolynomialInN.from_json_obj(obj)
+
+
 @given(poly_coeff_dicts(), poly_coeff_dicts())
 def test_poly_mul_against_evaluation(a, b):
     pa, pb = PolynomialInN(a), PolynomialInN(b)
