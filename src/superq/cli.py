@@ -120,22 +120,23 @@ def _check_cap(name, value, cap):
 def cmd_chartable(args):
     _check_cap("k", args.k, args.cap)
     table = character_table(args.k)
+    rows = zip(table.strict, zip(*table._columns))  # the integer entries
     if args.format == "json":
         _emit_json({
             "k": args.k,
             "rows": [
                 {
                     "lambda": str(lam),
-                    "values": {str(rho): rat_str(x) for rho, x in row},
+                    "values": {str(rho): str(x) for rho, x in zip(table.odd, row)},
                 }
-                for lam, row in table.rows()
+                for lam, row in rows
             ],
         })
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["lambda/rho"] + [str(rho) for rho in table.odd])
-    for lam, row in table.rows():
-        writer.writerow([str(lam)] + [rat_str(x) for _, x in row])
+    for lam, row in rows:
+        writer.writerow([str(lam), *row])
 
 
 def cmd_pstar(args):
@@ -286,17 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
             ("csv", "json"))
     p.add_argument("k", type=ascii_int)
     p.add_argument("--cap", type=ascii_int, default=30,
-                   help="largest k allowed (default %(default)s: about 2 s "
-                        "and 80 MB; each 2 added to k multiplies both by "
-                        "about 1.7)")
+                   help="largest k allowed (default %(default)s: about 0.3 s "
+                        "and 22 MB; each 2 added to k multiplies both by "
+                        "about 1.4)")
 
     p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
             PRETTY)
     p.add_argument("partition")
     p.add_argument("--cap", type=ascii_int, default=30,
-                   help="largest |mu| allowed (default %(default)s: about 2 s "
-                        "for the costliest mu; each 2 added to |mu| multiplies "
-                        "that by about 1.7)")
+                   help="largest |mu| allowed (default %(default)s: about 0.7 s "
+                        "for the costliest mu tried; each 2 added to |mu| "
+                        "multiplies that by about 1.5)")
 
     p = add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)")
     p.add_argument("mu")

@@ -65,7 +65,7 @@ from .partitions import (
 )
 from .plancherel import average_bruteforce
 from .rational import Rat, rat, rat_str
-from .schurq import character_table
+from .schurq import _pack_row, _unpack_row, character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
 # need character_table(cap + 1), and a whole scan to the cap takes about
@@ -121,29 +121,23 @@ def _hook_weights(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _packed_rows(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple, ...]]:
-    """Each row of character_table(n) packed into one integer
-    sum_j X^lambda_{rho_j} B^j, with B = 2^{8 b} for a digit width of b bytes.
+def _packed_rows(n: int) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
+    """Each row of character_table(n) packed by ``_pack_row`` into one
+    integer sum_j X^lambda_{rho_j} B^j, with B = 2^{8 b} for a digit width of
+    b bytes.
 
-    Returns (b, the offset sum_j (B/2) B^j, the packed rows in table order,
-    the m_1-free parts of each rho_j).  Every sum S of ``_spin_sums`` obeys
-    |S| <= sum_lambda h(lambda) M_lambda^3, where M_lambda is the largest
-    |X^lambda_rho| in row lambda, and B/2 exceeds that bound, so the digits
-    of sum_lambda w_lambda row_lambda, read as balanced (signed) digits
-    after the offset is added, are exactly the S.
+    Returns (b, the packed rows in table order, the m_1-free parts of each
+    rho_j).  Every sum S of ``_spin_sums`` obeys |S| <= sum_lambda h(lambda)
+    M_lambda^3, where M_lambda is the largest |X^lambda_rho| in row lambda,
+    and B/2 exceeds that bound, so the signed digits of sum_lambda w_lambda
+    row_lambda are exactly the S.
     """
     table = character_table(n)
     rows = list(zip(*table._columns))
     bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(_hook_weights(n), rows))
     width = (bound.bit_length() + 8) // 8  # so that B/2 = 2^{8 b - 1} > bound
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * len(table.odd), "little")
-    packed = tuple(
-        int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in row),
-                       "little") - offset
-        for row in rows
-    )
-    return width, offset, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
+    packed = tuple(_pack_row(row, width) for row in rows)
+    return width, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
 
 
 def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
@@ -153,20 +147,14 @@ def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     table = character_table(n)
     a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
     b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
-    width, offset, rows, keys = _packed_rows(n)
+    width, rows, keys = _packed_rows(n)
     packed = sum(
         h * x * y * row
         for h, x, y, row in zip(_hook_weights(n), a, b, rows)
         if x and y
     )
-    digits = (packed + offset).to_bytes(width * len(keys), "little")
-    half = 1 << (8 * width - 1)
-    sums = {}
-    for j, s in enumerate(keys):
-        total = int.from_bytes(digits[j * width:(j + 1) * width], "little") - half
-        if total:
-            sums[s] = total
-    return sums
+    return {s: total for s, total in zip(keys, _unpack_row(packed, width, len(keys)))
+            if total}
 
 
 def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):

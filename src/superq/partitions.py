@@ -50,6 +50,14 @@ class _Partition:
         self._validate(parts)
         self.parts = parts
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]):
+        """A partition of a tuple of ints already known to be valid for cls:
+        no conversion and no check."""
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
+
     @staticmethod
     def _validate(parts):
         raise NotImplementedError
@@ -195,7 +203,7 @@ def enumerate_strict(n: int) -> tuple[StrictPartition, ...]:
     """All strict partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(StrictPartition(t) for t in _strict_tuples(n, n))
+    return tuple(map(StrictPartition._trusted, _strict_tuples(n, n)))
 
 
 @cache
@@ -203,7 +211,7 @@ def enumerate_odd(n: int) -> tuple[OddPartition, ...]:
     """All odd partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(OddPartition(t) for t in _odd_tuples(n, n))
+    return tuple(map(OddPartition._trusted, _odd_tuples(n, n)))
 
 
 @cache

@@ -17,6 +17,32 @@ where an r-bar of the strict partition lambda is one of
 (c) two parts lambda_i > lambda_j with lambda_i + lambda_j = r: mu drops
     both, and w = 2 (-1)^{lambda_j + #parts strictly between them}.
 
+Each row of a table is one big-integer sum.  The columns are in decreasing
+lexicographic order, so in the table of degree k the columns rho = (r) u
+rho' with first part r form one block, and their rho' run, in the same
+order, through the suffix of the columns of the table of degree k - r whose
+parts are all <= r.  Each row mu of that suffix is packed into one integer
+packed_r(mu) = sum_j X^mu_{rho'_j} B^j of signed digits, B = 2^{8 b}, and
+
+    row(lambda) = sum over the r-bars (r, mu, w) of lambda, for every odd r,
+                  of w * packed_r(mu) * B^{first column of block r},
+
+whose digits are the entries of the row of lambda.  One walk over the parts
+of lambda lists its r-bars for every r at once.  For one r each bar has a
+part of lambda of its own (the part shortened or dropped, or the smaller of
+the two), so lambda has at most l(lambda) r-bars, and |w| <= 2:
+
+    |X^lambda_rho| <= 2 l(lambda) max |X^mu_rho'|.
+
+The digit width b of a table is the fewest bytes whose signed range holds
+this bound for every entry, rounded up to 1, 2, 4 or 8 bytes where one of
+those suffices.  Digits are two's complement: rows of 1-, 2-, 4- and 8-byte
+digits are written and read by ``array``, wider ones (from about k = 41)
+entry by entry by ``int.to_bytes`` and ``int.from_bytes``.  Reading a
+packed row adds 2^{8 b - 1} to every digit, which makes each digit
+nonnegative, and flips those bits back by one XOR, which leaves the bytes of
+the two's-complement digits; writing a row undoes both.
+
 Each table keeps only these integer columns; there is no rational copy.
 ``CharacterTable.value`` turns one entry into a rational as it reads it, and
 the code that sweeps a whole table (``q``, ``expand_in_P``, ``rows``) reads
@@ -27,7 +53,10 @@ X = <p_rho, Q_lambda> is kept as the scalar-product view of the same values.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cache
+from itertools import groupby
 from math import lcm
 
 from .gamma import GammaElement, scalar_product
@@ -53,26 +82,68 @@ def q_onerow(k: int) -> GammaElement:
     )
 
 
-def _bars(parts: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
-    # (mu, w) for every r-bar of the strict partition `parts`; see the
-    # module docstring for the three kinds.
+def _all_bars(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    # (r, mu, w) for every r-bar of the strict partition `parts`, every odd r,
+    # in one walk over its parts; see the module docstring for the kinds.
     out = []
+    n = len(parts)
     for i, a in enumerate(parts):
-        if a > r:
-            b = a - r
-            j = i + 1
-            while j < len(parts) and parts[j] > b:
+        j = i + 1  # the first part after a that is <= b
+        for b in range(a - 1, 0, -2):  # (a): r = a - b = 1, 3, 5, ...
+            while j < n and parts[j] > b:
                 j += 1
-            if j == len(parts) or parts[j] != b:
+            if j == n or parts[j] != b:
                 mu = parts[:i] + parts[i + 1 : j] + (b,) + parts[j:]
-                out.append((mu, (-1) ** (j - i - 1)))
-        elif a == r:
-            out.append((parts[:i] + parts[i + 1 :], (-1) ** (len(parts) - i - 1)))
-        elif r - a > a and r - a in parts:
-            j = parts.index(r - a)
-            mu = parts[:j] + parts[j + 1 : i] + parts[i + 1 :]
-            out.append((mu, 2 * (-1) ** (a + i - j - 1)))
+                out.append((a - b, mu, -1 if (j - i) % 2 == 0 else 1))
+        if a % 2:  # (b)
+            out.append((a, parts[:i] + parts[i + 1 :], -1 if (n - i) % 2 == 0 else 1))
+        for j in range(i + 1, n):  # (c), with lambda_j the smaller part
+            c = parts[j]
+            if (a + c) % 2:
+                mu = parts[:i] + parts[i + 1 : j] + parts[j + 1 :]
+                out.append((a + c, mu, -2 if (c + j - i) % 2 == 0 else 2))
     return out
+
+
+_ARRAY_CODES = {array(code).itemsize: code for code in "bhiq"}
+
+
+@cache
+def _sign_bits(width: int, count: int) -> int:
+    # 2^{8 width - 1} in each of `count` digits of `width` bytes
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack_row(row, width: int) -> int:
+    """sum_j row[j] 2^{8 width j}: the entries as signed digits of `width`
+    bytes, each in [-2^{8 width - 1}, 2^{8 width - 1})."""
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code, row)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        data = digits.tobytes()
+    else:
+        data = b"".join(x.to_bytes(width, "little", signed=True) for x in row)
+    sign = _sign_bits(width, len(data) // width)
+    return (int.from_bytes(data, "little") ^ sign) - sign
+
+
+def _unpack_row(packed: int, width: int, count: int):
+    """The `count` signed digits of `width` bytes of ``_pack_row``, in order
+    (an ``array`` or a list); exact whenever every digit of `packed`, a sum
+    of packed rows, is in range."""
+    sign = _sign_bits(width, count)
+    data = ((packed + sign) ^ sign).to_bytes(width * count, "little")
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code)
+        digits.frombytes(data)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits
+    return [int.from_bytes(data[i : i + width], "little", signed=True)
+            for i in range(0, len(data), width)]
 
 
 @cache
@@ -114,10 +185,11 @@ class _ValuesView:
 class CharacterTable:
     """All values X^lambda_rho for |lambda| = |rho| = k (zeros included).
 
-    Column rho = (r) u rho' is filled in integers by bar removal of r from
-    the column rho' of ``character_table(k - r)``.  The integer columns are
-    the only copy of the values: ``value`` reads one of them through the
-    view ``_values`` and returns it as a Rat.
+    The row of lambda is one packed sum over its r-bars, for every odd r,
+    of rows of ``character_table(k - r)`` (see the module docstring); the
+    rows are decoded once and transposed into integer columns.  The integer
+    columns are the only copy of the values: ``value`` reads one of them
+    through the view ``_values`` and returns it as a Rat.
     """
 
     def __init__(self, k: int):
@@ -130,20 +202,35 @@ class CharacterTable:
         self._values = _ValuesView(self)
 
     def _remove_bars(self) -> list[list[int]]:
-        bars = {}  # r -> for each lambda, [(row of mu in the smaller table, w)]
-        columns = []
-        for rho in self.odd:
-            r = rho.parts[0]
+        blocks = []  # (r, first column of block r, rows of table k - r, suffix)
+        start = 0
+        for r, block in groupby(self.odd, key=lambda rho: rho.parts[0]):
+            size = len(list(block))
             sub = character_table(self.k - r)
-            if r not in bars:
-                bars[r] = [
-                    [(sub._row_of[mu], w) for mu, w in _bars(lam.parts, r)]
-                    for lam in self.strict
-                ]
-            column = sub._columns[sub._col_of[rho.parts[1:]]]
-            columns.append(
-                [sum(w * column[i] for i, w in lam_bars) for lam_bars in bars[r]]
-            )
+            blocks.append((r, start, sub._row_of, sub._columns[len(sub.odd) - size :]))
+            start += size
+        suffixes = [column for *_, suffix in blocks for column in suffix]
+        largest = max(max(map(max, suffixes)), -min(map(min, suffixes)))
+        bound = 2 * max(lam.length for lam in self.strict) * largest
+        width = (bound.bit_length() + 8) // 8  # so that 2^{8 width - 1} > bound
+        width = min((w for w in _ARRAY_CODES if w >= width), default=width)
+        packed = {
+            r: (row_of, [_pack_row(row, width) for row in zip(*suffix)], 8 * width * start)
+            for r, start, row_of, suffix in blocks
+        }
+        # rows are decoded 64 at a time and written into the columns, so that
+        # the decoded rows of a whole table are never held at once
+        columns = [[0] * len(self.strict) for _ in self.odd]
+        for i in range(0, len(self.strict), 64):
+            rows = []
+            for lam in self.strict[i : i + 64]:
+                total = 0
+                for r, mu, w in _all_bars(lam.parts):
+                    row_of, sub_rows, shift = packed[r]
+                    total += w * sub_rows[row_of[mu]] << shift
+                rows.append(_unpack_row(total, width, len(self.odd)))
+            for column, entries in zip(columns, zip(*rows)):
+                column[i : i + len(rows)] = entries
         return columns
 
     def value(self, lam: StrictPartition, rho: OddPartition) -> Rat:
@@ -157,6 +244,8 @@ class CharacterTable:
 
 @cache
 def character_table(k: int) -> CharacterTable:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return CharacterTable(k)
 
 

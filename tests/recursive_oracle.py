@@ -3,8 +3,10 @@ superq: g^{lambda/mu} by corner removal, P*_mu by unitriangular inversion
 of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, hat_p(k)
 by the unitriangular system of the telescoping identity
 p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], the frak-p
-expansion of an element by peeling its top-degree terms, and the Han-Xiong
-generating-series identity by truncated power-series products and exp."""
+expansion of an element by peeling its top-degree terms, the Han-Xiong
+generating-series identity by truncated power-series products and exp, and
+the columns of the character tables by bar removal, one per-lambda sum for
+each column."""
 
 from functools import cache
 from math import comb, factorial
@@ -13,7 +15,14 @@ from superq.content import EvenPolynomial, psi_direct, rewrite_XY
 from superq.factorial import p_to_pstar_coeffs
 from superq.frakp import FrakExpansion, frak_p
 from superq.gamma import GammaElement, add_scaled
-from superq.partitions import StrictPartition, contains, outer_corners, remove_cell
+from superq.partitions import (
+    StrictPartition,
+    contains,
+    enumerate_odd,
+    enumerate_strict,
+    outer_corners,
+    remove_cell,
+)
 from superq.rational import ONE, ZERO, rat
 from superq.schurq import p_fn
 
@@ -123,3 +132,53 @@ def oracle_phi_series_check(lam: StrictPartition, order: int) -> bool:
     log_rhs = [ZERO] + [psi_direct(k, lam) * rat(1, k) for k in range(1, order + 1)]
     rhs = _series_exp(log_rhs, order)
     return lhs == rhs
+
+
+# --- character tables, one column at a time ------------------------------------
+
+
+def _bars(parts: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+    # (mu, w) for every r-bar of the strict partition `parts`; see the
+    # docstring of superq.schurq for the three kinds.
+    out = []
+    for i, a in enumerate(parts):
+        if a > r:
+            b = a - r
+            j = i + 1
+            while j < len(parts) and parts[j] > b:
+                j += 1
+            if j == len(parts) or parts[j] != b:
+                mu = parts[:i] + parts[i + 1 : j] + (b,) + parts[j:]
+                out.append((mu, (-1) ** (j - i - 1)))
+        elif a == r:
+            out.append((parts[:i] + parts[i + 1 :], (-1) ** (len(parts) - i - 1)))
+        elif r - a > a and r - a in parts:
+            j = parts.index(r - a)
+            mu = parts[:j] + parts[j + 1 : i] + parts[i + 1 :]
+            out.append((mu, 2 * (-1) ** (a + i - j - 1)))
+    return out
+
+
+@cache
+def oracle_columns(k: int) -> list[list[int]]:
+    """The columns X^lambda_rho of the table of degree k, in the enumeration
+    orders: column rho = (r) u rho' as sum of w * X^mu_rho' over the r-bars
+    of each lambda, from column rho' of the table of degree k - r."""
+    if k == 0:
+        return [[1]]
+    subs = {}  # r -> (columns of table k - r by rho', bars of each lambda)
+    columns = []
+    for rho in enumerate_odd(k):
+        r = rho.parts[0]
+        if r not in subs:
+            row_of = {lam.parts: i for i, lam in enumerate(enumerate_strict(k - r))}
+            column_of = dict(zip((sigma.parts for sigma in enumerate_odd(k - r)),
+                                 oracle_columns(k - r)))
+            subs[r] = column_of, [
+                [(row_of[mu], w) for mu, w in _bars(lam.parts, r)]
+                for lam in enumerate_strict(k)
+            ]
+        column_of, bars = subs[r]
+        column = column_of[rho.parts[1:]]
+        columns.append([sum(w * column[i] for i, w in lam_bars) for lam_bars in bars])
+    return columns

@@ -196,6 +196,12 @@ def test_domain_error_exits_1(capsys):
     assert code == 1
 
 
+def test_negative_chartable_degree_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "chartable", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == "k must be nonnegative"
+
+
 def superq_in_subprocess(*argv, module="superq"):
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])

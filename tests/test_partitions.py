@@ -147,6 +147,21 @@ def test_counts_agree():
         assert len(enumerate_strict(n)) == len(enumerate_odd(n))
 
 
+def test_enumerated_partitions_equal_the_checked_ones():
+    for n in range(16):
+        for cls, enumerated in ((StrictPartition, enumerate_strict(n)),
+                                (OddPartition, enumerate_odd(n))):
+            for partition in enumerated:
+                checked = cls(partition.parts)
+                assert type(partition) is cls and partition == checked
+                assert hash(partition) == hash(checked)
+                assert all(type(part) is int for part in partition.parts)
+    for cls, parts in ((StrictPartition, (3, 3)), (OddPartition, (2,)),
+                       (OddPartition, (1, 3))):
+        with pytest.raises(ValueError):
+            cls(parts)
+
+
 def test_enumeration_is_decreasing_lex():
     for n in range(10):
         parts = [p.parts for p in enumerate_strict(n)]

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import cache
@@ -9,6 +10,7 @@ import superq
 from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
+from recursive_oracle import _bars, oracle_columns
 from superq.gamma import GammaElement, scalar_product
 from superq.partitions import (
     OddPartition,
@@ -22,7 +24,9 @@ from superq.partitions import (
 )
 from superq.rational import rat, is_integral
 from superq.schurq import (
-    _bars,
+    _all_bars,
+    _pack_row,
+    _unpack_row,
     character,
     character_table,
     character_via_scalar,
@@ -134,6 +138,49 @@ def test_tables_equal_pfaffian_oracle():
         table = character_table(k)
         for (lam, rho), x in oracle_table(k).items():
             assert table.value(lam, rho) == x
+
+
+def test_tables_equal_the_column_oracle():
+    for k in range(31):
+        assert character_table(k)._columns == oracle_columns(k)
+
+
+def test_one_pass_lists_the_bars_of_every_odd_r():
+    # and for each r at most l(lambda) bars, each of weight at most 2: the
+    # bound that fixes the digit width of a table
+    for k in range(21):
+        for lam in enumerate_strict(k):
+            by_r = {}
+            for r, mu, w in _all_bars(lam.parts):
+                by_r.setdefault(r, []).append((mu, w))
+            assert set(by_r) <= set(range(1, k + 1, 2))
+            for r in range(1, k + 1, 2):
+                assert sorted(by_r.get(r, [])) == sorted(_bars(lam.parts, r))
+                assert len(by_r.get(r, [])) <= lam.length
+            assert all(abs(w) <= 2 for _, _, w in _all_bars(lam.parts))
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_row_codec_round_trips(width):
+    top = 2 ** (8 * width - 1) - 1
+    rng = random.Random(width)
+    a = [rng.randint(-(top // 3), top // 3) for _ in range(40)]
+    b = [rng.randint(-(top // 3), top // 3) for _ in range(40)]
+    for row in ([top, -top, 0, -1, 1, top], [-top] * 3, [top], [], a):
+        assert list(_unpack_row(_pack_row(row, width), width, len(row))) == row
+    # a sum of packed rows decodes to the sum of the rows, and a row shifted by
+    # whole digits lands at that digit offset
+    packed = 2 * _pack_row(a, width) - _pack_row(b, width)
+    assert list(_unpack_row(packed, width, 40)) == [2 * x - y for x, y in zip(a, b)]
+    packed = _pack_row(a, width) + (_pack_row(b, width) << 8 * width * 40)
+    assert list(_unpack_row(packed, width, 80)) == a + b
+    with pytest.raises(OverflowError):
+        _pack_row([top + 2], width)
+
+
+def test_character_table_checks_its_degree():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        character_table(-1)
 
 
 def test_rows_and_value_read_the_same_integers():
