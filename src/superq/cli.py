@@ -109,7 +109,9 @@ def cmd_prob(args):
 
 
 def cmd_qfunc(args):
-    _emit_element(args, q(StrictPartition.from_text(args.partition)))
+    lam = StrictPartition.from_text(args.partition)
+    _check_cap("|lambda|", lam.size, args.cap)
+    _emit_element(args, q(lam))
 
 
 def _check_cap(name, value, cap):
@@ -248,119 +250,148 @@ def cmd_verify(args):
 # --- parser ------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order of build_parser.
+COMMANDS = ("enum", "g", "gskew", "prob", "qfunc", "chartable", "pstar",
+            "pstar-eval", "frak", "avg", "content", "psi", "phi-check", "lab",
+            "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one alone.
+
+    A one-subcommand parser parses the same and prints the same bytes for
+    every argv that starts with its command: its usage line names all the
+    subcommands, as the full parser's does.
+    """
     parser = argparse.ArgumentParser(
         prog="superq",
         description="Exact computations with supersymmetric functions on "
                     "strict partitions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+
+    def nested(name, help_text):
+        """A top-level subcommand with subcommands of its own, or None when
+        the parser is for another command."""
+        if command is None or name == command:
+            return sub.add_parser(name, help=help_text)
+        return None
 
     def add(name, handler, help_text, formats=("json",), group=sub):
         """A subcommand that renders the given formats; the first is the
-        default, and any other is a usage error."""
+        default, and any other is a usage error.  None when the parser is
+        for another command."""
+        if group is sub and command is not None and name != command:
+            return None
         p = group.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
         p.add_argument("--format", choices=formats, default=formats[0])
         return p
 
-    p = add("enum", cmd_enum, "list strict and odd partitions of n")
-    p.add_argument("n", type=ascii_int)
+    if p := add("enum", cmd_enum, "list strict and odd partitions of n"):
+        p.add_argument("n", type=ascii_int)
 
-    p = add("g", cmd_g, "number of standard shifted tableaux of a shape")
-    p.add_argument("partition")
+    if p := add("g", cmd_g, "number of standard shifted tableaux of a shape"):
+        p.add_argument("partition")
 
-    p = add("gskew", cmd_gskew, "number of standard tableaux of a skew shape")
-    p.add_argument("lam", metavar="lambda")
-    p.add_argument("mu")
+    if p := add("gskew", cmd_gskew, "number of standard tableaux of a skew shape"):
+        p.add_argument("lam", metavar="lambda")
+        p.add_argument("mu")
 
-    p = add("prob", cmd_prob, "shifted Plancherel probability of a shape")
-    p.add_argument("n", type=ascii_int)
-    p.add_argument("partition")
-    p.add_argument("--mu", default=None)
+    if p := add("prob", cmd_prob, "shifted Plancherel probability of a shape"):
+        p.add_argument("n", type=ascii_int)
+        p.add_argument("partition")
+        p.add_argument("--mu", default=None)
 
-    p = add("qfunc", cmd_qfunc, "Schur Q-function in the power-sum basis",
-            PRETTY)
-    p.add_argument("partition")
+    if p := add("qfunc", cmd_qfunc, "Schur Q-function in the power-sum basis",
+                PRETTY):
+        p.add_argument("partition")
+        p.add_argument("--cap", type=ascii_int, default=30,
+                       help="largest |lambda| allowed (default %(default)s: "
+                            "about 0.3 s and 22 MB, mostly the character "
+                            "table of degree |lambda|, which chartable caps "
+                            "alike)")
 
-    p = add("chartable", cmd_chartable, "projective character table of degree k",
-            ("csv", "json"))
-    p.add_argument("k", type=ascii_int)
-    p.add_argument("--cap", type=ascii_int, default=30,
-                   help="largest k allowed (default %(default)s: about 0.3 s "
-                        "and 22 MB; each 2 added to k multiplies both by "
-                        "about 1.4)")
+    if p := add("chartable", cmd_chartable, "projective character table of degree k",
+                ("csv", "json")):
+        p.add_argument("k", type=ascii_int)
+        p.add_argument("--cap", type=ascii_int, default=30,
+                       help="largest k allowed (default %(default)s: about 0.3 s "
+                            "and 22 MB; each 2 added to k multiplies both by "
+                            "about 1.4)")
 
-    p = add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
-            PRETTY)
-    p.add_argument("partition")
-    p.add_argument("--cap", type=ascii_int, default=30,
-                   help="largest |mu| allowed (default %(default)s: about 0.7 s "
-                        "for the costliest mu tried; each 2 added to |mu| "
-                        "multiplies that by about 1.5)")
+    if p := add("pstar", cmd_pstar, "factorial Schur P*-function in the p-basis",
+                PRETTY):
+        p.add_argument("partition")
+        p.add_argument("--cap", type=ascii_int, default=30,
+                       help="largest |mu| allowed (default %(default)s: about 0.7 s "
+                            "for the costliest mu tried; each 2 added to |mu| "
+                            "multiplies that by about 1.5)")
 
-    p = add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)")
-    p.add_argument("mu")
-    p.add_argument("lam", metavar="lambda")
+    if p := add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)"):
+        p.add_argument("mu")
+        p.add_argument("lam", metavar="lambda")
 
-    frak = sub.add_parser("frak", help="the deformed power-sum basis")
-    frak_sub = frak.add_subparsers(dest="frak_command", required=True)
-    p = add("expand-p", cmd_frak_expand_p, "expand p_rho in the frak-p basis",
-            PRETTY, frak_sub)
-    p.add_argument("rho")
-    p = add("eval", cmd_frak_eval, "closed-form value frak_p(rho)(lambda)",
-            group=frak_sub)
-    p.add_argument("rho")
-    p.add_argument("lam", metavar="lambda")
-    p = add("deg1", cmd_frak_deg1, "deg1 filtration degree of an expression",
-            group=frak_sub)
-    p.add_argument("expr")
+    if frak := nested("frak", "the deformed power-sum basis"):
+        frak_sub = frak.add_subparsers(dest="frak_command", required=True)
+        p = add("expand-p", cmd_frak_expand_p, "expand p_rho in the frak-p basis",
+                PRETTY, frak_sub)
+        p.add_argument("rho")
+        p = add("eval", cmd_frak_eval, "closed-form value frak_p(rho)(lambda)",
+                group=frak_sub)
+        p.add_argument("rho")
+        p.add_argument("lam", metavar="lambda")
+        p = add("deg1", cmd_frak_deg1, "deg1 filtration degree of an expression",
+                group=frak_sub)
+        p.add_argument("expr")
 
-    p = add("avg", cmd_avg, "shifted Plancherel average of an expression",
-            PRETTY)
-    p.add_argument("--f", required=True, metavar="EXPR")
-    p.add_argument("--mu", default=None)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--symbolic", action="store_true",
-                      help="polynomial in n, all three bases")
-    mode.add_argument("--n", type=ascii_int, help="exact value at this n")
+    if p := add("avg", cmd_avg, "shifted Plancherel average of an expression",
+                PRETTY):
+        p.add_argument("--f", required=True, metavar="EXPR")
+        p.add_argument("--mu", default=None)
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--symbolic", action="store_true",
+                          help="polynomial in n, all three bases")
+        mode.add_argument("--n", type=ascii_int, help="exact value at this n")
 
-    content = sub.add_parser("content", help="content evaluations")
-    content_sub = content.add_subparsers(dest="content_command", required=True)
-    p = add("hatp", cmd_content_hatp, "the supersymmetric function hat-p_k",
-            PRETTY, content_sub)
-    p.add_argument("k", type=ascii_int)
-    p = add("hatF", cmd_content_hatf, "hat-F for a power-sum expansion",
-            PRETTY, content_sub)
-    p.add_argument("--psum", required=True,
-                   help='JSON list like [{"partition": "2", "coeff": "1"}]')
+    if content := nested("content", "content evaluations"):
+        content_sub = content.add_subparsers(dest="content_command", required=True)
+        p = add("hatp", cmd_content_hatp, "the supersymmetric function hat-p_k",
+                PRETTY, content_sub)
+        p.add_argument("k", type=ascii_int)
+        p = add("hatF", cmd_content_hatf, "hat-F for a power-sum expansion",
+                PRETTY, content_sub)
+        p.add_argument("--psum", required=True,
+                       help='JSON list like [{"partition": "2", "coeff": "1"}]')
 
-    p = add("psi", cmd_psi, "Han-Xiong corner function", PRETTY)
-    p.add_argument("k", type=ascii_int)
-    p.add_argument("--lambda", dest="lam", default=None)
+    if p := add("psi", cmd_psi, "Han-Xiong corner function", PRETTY):
+        p.add_argument("k", type=ascii_int)
+        p.add_argument("--lambda", dest="lam", default=None)
 
-    p = add("phi-check", cmd_phi_check, "corner generating-series identity check")
-    p.add_argument("lam", metavar="lambda")
-    p.add_argument("order", type=ascii_int)
+    if p := add("phi-check", cmd_phi_check, "corner generating-series identity check"):
+        p.add_argument("lam", metavar="lambda")
+        p.add_argument("order", type=ascii_int)
 
-    lab = sub.add_parser("lab", help="conjecture laboratory")
-    lab_sub = lab.add_subparsers(dest="lab_command", required=True)
-    p = add("deg1-scan", cmd_lab_scan, "scan deg1 filtration conjecture",
-            group=lab_sub)
-    p.add_argument("--max", type=ascii_int, required=True)
-    p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
-                   help="largest --max allowed (default %(default)s)")
-    p = add("p2", cmd_lab_p2, "E_n[p2] table and quadratic-fit failure",
-            group=lab_sub)
-    p.add_argument("--max-n", type=ascii_int, default=6)
-    p.add_argument("--cap", type=ascii_int, default=P2_CAP,
-                   help="largest --max-n allowed (default %(default)s)")
-    p = add("fstruct", cmd_lab_fstruct, "structure constants of a product",
-            group=lab_sub)
-    p.add_argument("sigma")
-    p.add_argument("tau")
-    p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
-                   help="largest |sigma| + |tau| allowed (default %(default)s)")
+    if lab := nested("lab", "conjecture laboratory"):
+        lab_sub = lab.add_subparsers(dest="lab_command", required=True)
+        p = add("deg1-scan", cmd_lab_scan, "scan deg1 filtration conjecture",
+                group=lab_sub)
+        p.add_argument("--max", type=ascii_int, required=True)
+        p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
+                       help="largest --max allowed (default %(default)s)")
+        p = add("p2", cmd_lab_p2, "E_n[p2] table and quadratic-fit failure",
+                group=lab_sub)
+        p.add_argument("--max-n", type=ascii_int, default=6)
+        p.add_argument("--cap", type=ascii_int, default=P2_CAP,
+                       help="largest --max-n allowed (default %(default)s)")
+        p = add("fstruct", cmd_lab_fstruct, "structure constants of a product",
+                group=lab_sub)
+        p.add_argument("sigma")
+        p.add_argument("tau")
+        p.add_argument("--cap", type=ascii_int, default=LAB_CAP,
+                       help="largest |sigma| + |tau| allowed (default %(default)s)")
 
     add("verify", cmd_verify, "run the full paper-identity golden suite",
         ("pretty", "json"))
@@ -369,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse hands everything after a leading subcommand to that
+    # subcommand's parser, so building it alone changes no output
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         result = args.func(args)

@@ -26,11 +26,22 @@ the shifted hook product).  Newton forward differences in m = n - |s| over
 the nodes n = |s|..D+1 read off c_{s u 1^k}; the product has degree D, so
 the difference at the last node must vanish, and a nonzero one raises
 ``ArithmeticError``.  This is the spin analogue of Kerov-Olshanski's
-polynomial functions on Young diagrams.  The sums S depend only on
-(sigma~, tau~, n), so pairs that differ in their parts equal to 1 share
-them, through a memo that lives for one scan or one
-``structure_constants`` call.  Peeling the top-degree terms of
+polynomial functions on Young diagrams.  Peeling the top-degree terms of
 frak_p(sigma) * frak_p(tau), a test oracle, is the independent route.
+
+The 1s are free.  By the closed form, fp_{sigma~ u 1^a} = fp_sigma~
+(n - |sigma~|)^{falling a} with n = p_1, and n fp_{s u 1^k} = fp_{s u 1^{k+1}}
++ (|s| + k) fp_{s u 1^k}.  So the Newton route runs only on the ones-free
+product fp_sigma~ * fp_tau~ (and not at all when a factor is fp_() = 1), and
+each 1 of sigma or tau is one multiplication by (n - c), with c the size of
+that factor before the 1: the coefficient of fp_{s u 1^k} becomes that of
+fp_{s u 1^{k-1}} plus (|s| + k - c) times its own.  The same identity
+reduces the conjecture to ones-free pairs: fp_sigma * fp_tau is
+fp_sigma~ * fp_tau~ times a + b linear factors (n - c), each of which raises
+deg1 by at most 2, while deg1(sigma) = deg1(sigma~) + 2a and likewise for
+tau.  Hence every pair with |sigma| + |tau| <= T satisfies the filtration
+once the ones-free pairs with |sigma~| + |tau~| <= T do; the scan still
+visits and counts every pair.
 
 The sums S for all rho_n of one n come from one integer: each row lambda of
 the table is packed as sum_j X^lambda_{rho_j} B^j, and sum_lambda
@@ -40,16 +51,17 @@ as its base-B digits.  The digit width is fixed per n by the proven bound
 row lambda, so the balanced (signed) digits decode exactly.
 
 ``structure_constants`` and the scan share ``_terms``, which yields the
-integer Newton difference d of every nonzero coefficient.  The scan reads
-the slack deg1(sigma) + deg1(tau) - (|s| + 2k) off (s, k) alone and builds
-a record, through the same values as ``structure_constants``, only for a
-violation.
+integer d of every nonzero coefficient, normalised as the Newton difference
+of that pair.  The scan reads the slack deg1(sigma) + deg1(tau) - (|s| + 2k)
+off (s, k) alone and builds a record, through the same values as
+``structure_constants``, only for a violation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from itertools import count
 from math import factorial
 
 from .content import OrdinaryPSumExpr
@@ -69,7 +81,7 @@ from .schurq import _pack_row, _unpack_row, character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
 # need character_table(cap + 1), and a whole scan to the cap takes about
-# 2 s; each total above it adds about 60%.
+# 1 s and 20 MB as a command; each total above it adds about 60%.
 LAB_CAP = 23
 
 # Default bound on max_n for the E_n[p_2] experiment, whose brute-force
@@ -157,29 +169,24 @@ def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
             if total}
 
 
-def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
-    """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
-    coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
-    (D + 1 - |sigma|)! (D + 1 - |tau|)!) with D = |sigma| + |tau|, and d
-    is the integer k-th Newton difference of the scaled sums.
+def _newton_terms(sigma: OddPartition, tau: OddPartition) -> dict[tuple, list[int]]:
+    """The Newton route of the module docstring: for every s with a nonzero
+    coefficient in fp_sigma * fp_tau, the list (d_0, ..., d_K) of the integer
+    k-th Newton differences of the scaled sums, with d_K nonzero.
 
-    ``memo`` maps ((sigma~, tau~), n) to the sums of ``_spin_sums``; the
-    caller owns it, so the sums live only as long as one scan or one
-    ``structure_constants`` call."""
+    A nonzero difference at the degree-check node raises ``ArithmeticError``.
+    """
     total = sigma.size + tau.size
-    key = tuple(sorted((_ones_free(sigma.parts), _ones_free(tau.parts))))
+    sigma_t, tau_t = _ones_free(sigma.parts), _ones_free(tau.parts)
     top = total + 1  # the degree-check node
     low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
     # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
     # here over the common denominator (top-|sigma|)! (top-|tau|)!
-    nodes = []
-    for n in range(low, top + 1):
-        sums = memo.get((key, n))
-        if sums is None:
-            sums = memo[key, n] = _spin_sums(*key, n)
-        nodes.append((sums, falling(top - sigma.size, top - n)
-                      * falling(top - tau.size, top - n)))
+    nodes = [(_spin_sums(sigma_t, tau_t, n),
+              falling(top - sigma.size, top - n) * falling(top - tau.size, top - n))
+             for n in range(low, top + 1)]
     label = f"the A_s(n) of fp_{sigma} * fp_{tau}"
+    out = {}
     for s in set().union(*(by_s for by_s, _ in nodes)):
         size = sum(s)
         if size > total:
@@ -189,7 +196,71 @@ def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
             + [by_s.get(s, 0) * c for by_s, c in nodes[max(size - low, 0):]],
             label,
         )
-        for k, diff in enumerate(diffs):
+        while diffs and not diffs[-1]:
+            diffs.pop()
+        if diffs:
+            out[s] = diffs
+    return out
+
+
+def _ones_free_terms(sigma_t: tuple, tau_t: tuple) -> list[tuple]:
+    """(s, |s|, d) for every s of fp_sigma~ * fp_tau~, d as in
+    ``_newton_terms``; a factor fp_() = 1 leaves the single term of the other,
+    whose d is 2^{|s|-l(s)} z_s (|s| + 1)!."""
+    if not (sigma_t and tau_t):
+        s = sigma_t or tau_t
+        size = sum(s)
+        d = 2 ** (size - len(s)) * z(OddPartition(s)) * factorial(size + 1)
+        return [(s, size, [d])]
+    terms = _newton_terms(OddPartition(sigma_t), OddPartition(tau_t))
+    return [(s, sum(s), d) for s, d in terms.items()]
+
+
+def _add_one(terms: list[tuple], size: int) -> list[tuple]:
+    """The terms of the product after a 1 is added to a factor of size
+    ``size``: fp_{sigma u 1} = fp_sigma (n - |sigma|), and
+    (n - c) fp_{s u 1^k} = fp_{s u 1^{k+1}} + (|s| + k - c) fp_{s u 1^k},
+    so with D one larger d'_k = (|sigma| + 2) (k d_{k-1} + (|s| + k - |sigma|) d_k).
+    The top entry stays nonzero, so every s stays."""
+    factor = size + 2
+    out = []
+    for s, s_size, d in terms:
+        shift = s_size - size
+        out.append((s, s_size, [factor * (k * below + (shift + k) * here)
+                                for k, below, here in zip(count(), (0, *d), (*d, 0))]))
+    return out
+
+
+def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
+    """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
+    coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
+    (D + 1 - |sigma|)! (D + 1 - |tau|)!) with D = |sigma| + |tau|, and d
+    is the integer k-th Newton difference of the scaled sums.
+
+    The Newton route runs once per ones-free product fp_sigma~ * fp_tau~;
+    every 1 of sigma, then of tau, is one ``_add_one`` step (module
+    docstring).  ``memo`` belongs to the caller and lives for one scan or one
+    ``structure_constants`` call.  It keeps the ones-free terms by
+    (sigma~, tau~), and for the current sigma the last terms reached on each
+    tau~ chain, so that when tau gains a 1 one step suffices."""
+    sigma_t, tau_t = _ones_free(sigma.parts), _ones_free(tau.parts)
+    if memo.get("sigma") != sigma:
+        memo["sigma"], memo["chains"] = sigma, {}
+    size, terms = memo["chains"].get(tau_t, (None, None))
+    if size is None or size > tau.size:
+        key = tuple(sorted((sigma_t, tau_t)))
+        bases = memo.setdefault("bases", {})
+        if key not in bases:
+            bases[key] = _ones_free_terms(*key)
+        terms = bases[key]
+        for grown in range(sum(sigma_t), sigma.size):
+            terms = _add_one(terms, grown)
+        size = sum(tau_t)
+    for size in range(size, tau.size):
+        terms = _add_one(terms, size)
+    memo["chains"][tau_t] = tau.size, terms
+    for s, _, d in terms:
+        for k, diff in enumerate(d):
             if diff:
                 yield s, k, diff
 
@@ -287,7 +358,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
         )
     report = ScanReport(max_total=max_total)
     records, low, high = 0, None, None
-    memo: dict = {}  # the spin-character sums, shared by the pairs of this scan
+    memo: dict = {}  # the ones-free products and tau~ chains of _terms
     for a in range(1, max_total):
         for sigma in enumerate_odd(a):
             for b in range(a, max_total - a + 1):

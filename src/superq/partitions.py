@@ -346,7 +346,15 @@ def _mask_parts(mask: int) -> tuple:
 def _skew_masks(mu: StrictPartition, n: int) -> dict[int, int]:
     """g^{lam/mu} for every strict lam of size |mu| + n that contains mu,
     keyed by _mask(lam)."""
+    for layer in _skew_layers(mu, n):
+        pass
+    return layer
+
+
+def _skew_layers(mu: StrictPartition, n: int):
+    """``_skew_masks(mu, j)`` for j = 0..n, in order, from one sweep."""
     layer = {_mask(mu.parts): 1}
+    yield layer
     for _ in range(n):
         grown: dict[int, int] = {}
         for mask, count in layer.items():
@@ -359,7 +367,7 @@ def _skew_masks(mu: StrictPartition, n: int) -> dict[int, int]:
                 shape = mask + (2 if bit == 1 else bit)
                 grown[shape] = grown.get(shape, 0) + count
         layer = grown
-    return layer
+        yield layer
 
 
 def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:

@@ -24,6 +24,9 @@ E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
 brute-force values at n = 0..d determine them, and Newton forward
 differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
 One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
+The nodes share their set-up: f is written in integers once per call, and
+only p_1 = n is folded in per node; the skew counts of E_{mu,n} at every
+node come from one sweep that keeps each layer (``_skew_layers``).
 
 The independent routes (``*_frak``) are the oracles for tests and ``superq
 verify``.  E_n reads the P*-coefficients of f = sum_mu b_mu P*_mu
@@ -45,6 +48,7 @@ from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
     OddPartition,
     StrictPartition,
+    _skew_layers,
     _skew_masks,
     _stirling1_row,
     _stirling2_row,
@@ -219,27 +223,36 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 # --- averages ----------------------------------------------------------------
 
 
-def _integer_form(f, size: int) -> tuple[int, list[tuple[int, tuple]]]:
-    """(D, [(a, parts of mu~)]) with f = (1/D) sum a p_{mu~} on every strict
-    partition of ``size``, where D is the lcm of the coefficient denominators
-    and every a is a nonzero integer.
-
-    p_1 is the size of every such partition, so c_mu p_mu folds into
-    (c_mu size^{m_1(mu)}) p_{mu~}, mu~ being mu without its 1s; terms with
-    the same mu~ are merged and zeros dropped.
-    """
+def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
+    """(D, [(parts of mu~, m_1(mu), a)]) with f = (1/D) sum a p_mu, where D
+    is the lcm of the coefficient denominators and every a is a nonzero
+    integer; mu~ is mu without its 1s."""
     if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
         raise TypeError(
             "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
             f"got {type(f).__name__}"
         )
     denom = lcm(*(c.denominator for c in f._coeffs.values()))
-    folded: dict[tuple, int] = {}
+    terms = []
     for mu, c in f._coeffs.items():
         ones = mu.parts.count(1)
-        add_into(folded, mu.parts[:len(mu.parts) - ones],
-                 c.numerator * (denom // c.denominator) * size**ones)
-    return denom, list(folded.items())
+        terms.append((mu.parts[:len(mu.parts) - ones], ones,
+                      c.numerator * (denom // c.denominator)))
+    return denom, terms
+
+
+def _fold(terms, size: int) -> list[tuple[tuple, int]]:
+    """[(parts of mu~, a)] with sum a p_{mu~} equal to the sum of the terms
+    of ``_integer_form`` on every strict partition of ``size``.
+
+    p_1 is the size of every such partition, so a p_mu folds into
+    (a size^{m_1(mu)}) p_{mu~}; terms with the same mu~ are merged and zeros
+    dropped.
+    """
+    folded: dict[tuple, int] = {}
+    for parts, ones, a in terms:
+        add_into(folded, parts, a * size**ones)
+    return list(folded.items())
 
 
 def _weighted_total(terms, powers: tuple, shapes) -> int:
@@ -259,8 +272,30 @@ def _weighted_total(terms, powers: tuple, shapes) -> int:
 
 
 def _powers(terms) -> tuple:
-    # the r of every p_r that the folded terms read
-    return tuple(sorted({r for mu, _ in terms for r in mu}))
+    # the r of every p_r that the terms of _integer_form read
+    return tuple(sorted({r for mu, _, _ in terms for r in mu}))
+
+
+def _average(denom: int, terms, n: int) -> Rat:
+    # E_n of f, with (denom, terms) = _integer_form(f)
+    powers = _powers(terms)
+    shapes = ((count * count << (n - length), sums)
+              for _, length, count, sums in _strict_walk(n, powers))
+    return rat(_weighted_total(_fold(terms, n), powers, shapes),
+               denom * factorial(n))
+
+
+def _average_mu(denom: int, terms, mu: StrictPartition, n: int,
+                skews: dict[int, int]) -> Rat:
+    # E_{mu,n} of f, with (denom, terms) = _integer_form(f), skews = _skew_masks(mu, n)
+    powers = _powers(terms)
+    m = mu.size
+    shift = n + mu.length
+    shapes = ((count * skews[mask] << (shift - length), sums)
+              for mask, length, count, sums in _strict_walk(n + m, powers)
+              if mask in skews)
+    return rat(_weighted_total(_fold(terms, n + m), powers, shapes) * factorial(m),
+               denom * factorial(n + m) * g(mu))
 
 
 def average_bruteforce(f, n: int) -> Rat:
@@ -277,11 +312,8 @@ def average_bruteforce(f, n: int) -> Rat:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    denom, terms = _integer_form(f, n)
-    powers = _powers(terms)
-    shapes = ((count * count << (n - length), sums)
-              for _, length, count, sums in _strict_walk(n, powers))
-    return rat(_weighted_total(terms, powers, shapes), denom * factorial(n))
+    denom, terms = _integer_form(f)
+    return _average(denom, terms, n)
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
@@ -296,16 +328,8 @@ def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = mu.size
-    denom, terms = _integer_form(f, n + m)
-    powers = _powers(terms)
-    skews = _skew_masks(mu, n)
-    shift = n + mu.length
-    shapes = ((count * skews[mask] << (shift - length), sums)
-              for mask, length, count, sums in _strict_walk(n + m, powers)
-              if mask in skews)
-    return rat(_weighted_total(terms, powers, shapes) * factorial(m),
-               denom * factorial(n + m) * g(mu))
+    denom, terms = _integer_form(f)
+    return _average_mu(denom, terms, mu, n, _skew_masks(mu, n))
 
 
 def _require_gamma(f):
@@ -334,7 +358,8 @@ def average_symbolic(f: GammaElement) -> PolynomialInN:
     """
     _require_gamma(f)
     d = max(f.degree(), 0)
-    return _interpolate([average_bruteforce(f, n) for n in range(d + 2)])
+    denom, terms = _integer_form(f)
+    return _interpolate([_average(denom, terms, n) for n in range(d + 2)])
 
 
 def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
@@ -345,7 +370,9 @@ def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
     """
     _require_gamma(f)
     d = max(f.degree(), 0)
-    return _interpolate([average_mu_bruteforce(f, mu, n) for n in range(d + 2)])
+    denom, terms = _integer_form(f)
+    return _interpolate([_average_mu(denom, terms, mu, n, skews)
+                         for n, skews in enumerate(_skew_layers(mu, d + 1))])
 
 
 def average_symbolic_frak(f: GammaElement) -> PolynomialInN:

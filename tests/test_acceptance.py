@@ -12,7 +12,9 @@ import pytest
 
 from superq import explorer, verify
 from superq.factorial import p_star
-from superq.partitions import enumerate_strict, g
+from superq.frakp import frak_p
+from superq.gamma import GammaElement
+from superq.partitions import OddPartition, enumerate_odd, enumerate_strict, g
 from superq.plancherel import PolynomialInN, average_bruteforce, average_symbolic_frak
 from superq.rational import rat
 
@@ -92,6 +94,25 @@ def test_pstar_averages_match_the_closed_form():
         assert average_symbolic_frak(f) == closed, mu
         for n in (m + 2, m + 5):
             assert average_bruteforce(f, n) == closed.evaluate(n), (mu, n)
+
+
+def test_parts_equal_to_1_are_linear_factors():
+    # fp_{sigma~ u 1^a} = fp_sigma~ (p_1 - |sigma~|)^{falling a} as elements of
+    # Gamma, for every m_1-free sigma~ and a with |sigma~| + a <= 12: the
+    # identity that lets the deg1 scan derive every pair from its ones-free one
+    p1 = GammaElement.p(1)
+    pairs = 0
+    for size in range(13):
+        for sigma_t in enumerate_odd(size):
+            if sigma_t.multiplicity(1):
+                continue
+            product = frak_p(sigma_t)
+            for a in range(13 - size):
+                assert frak_p(OddPartition(sigma_t.parts + (1,) * a)) == product, \
+                    (sigma_t, a)
+                product = product * (p1 - (size + a) * GammaElement.one())
+                pairs += 1
+    assert pairs == 70
 
 
 def _plus_one(route):

@@ -276,7 +276,9 @@ def test_lab_cap_is_a_quick_domain_error(argv):
     (("chartable", "40"), "k = 40 exceeds the cap 30; raise --cap to allow"),
     (("lab", "p2", "--max-n", "15"),
      "max_n = 15 exceeds the cap 14; raise cap= (--cap) to allow"),
-], ids=["pstar", "chartable", "lab-p2"])
+    (("qfunc", "12,10,8,6,4,2"),
+     "|lambda| = 42 exceeds the cap 30; raise --cap to allow"),
+], ids=["pstar", "chartable", "lab-p2", "qfunc"])
 def test_work_budget_is_a_quick_domain_error(argv, message):
     start = time.perf_counter()
     assert assert_domain_error_in_subprocess(*argv) == message
@@ -292,6 +294,19 @@ def test_work_budget_can_be_raised(capsys):
     assert code == 1 and out == "" and "cap 2" in err
     assert run(capsys, "pstar", "3", "--cap", "3")[1].encode() == \
         cli_commands.read_golden("pstar")
+    code, out, err = run(capsys, "qfunc", "2,1", "--cap", "2")
+    assert code == 1 and out == "" and "cap 2" in err
+    assert run(capsys, "qfunc", "2,1", "--cap", "3") == run(capsys, "qfunc", "2,1")
+
+
+def test_lab_scan_to_the_cap_is_quick():
+    # every pair with parts equal to 1 is derived from its ones-free product
+    start = time.perf_counter()
+    proc = superq_in_subprocess("lab", "deg1-scan", "--max", "23")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["violations_found"] == 0 and report["min_slack"] == 0
 
 
 def test_integers_are_ascii_digits_only(capsys):
@@ -342,6 +357,29 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "enum", "3"])  # no such global option
     assert exc.value.code == 2
+
+
+def _outcome(capsys, argv):
+    # (exit code, stdout, stderr) of main, usage errors and --help included
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+    parser = superq.cli.build_parser()
+    assert tuple(parser._subparsers._group_actions[0].choices) == superq.cli.COMMANDS
+    cases = [["--help"], ["g", "--help"], ["frak", "eval", "--help"], ["bogus"], [],
+             ["--threads", "2", "enum", "3"], ["g", "4,1", "--bogus"], ["-h", "g"],
+             ["lab", "fstruct", "3"], ["avg", "--f", "p[3]", "--format", "pretty"],
+             ["avg", "--f", "p[3]", "--n", "2", "--format", "pretty"], ["g", "4,1"]]
+    one = [_outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(superq.cli, "COMMANDS", ())  # every argv gets the full parser
+    assert [_outcome(capsys, argv) for argv in cases] == one
+    assert [code for code, _, _ in one] == [0, 0, 0, 2, 2, 2, 2, 0, 2, 2, 2, 0]
 
 
 # (argv, a format the command does not render, one it does)

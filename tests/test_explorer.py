@@ -134,6 +134,28 @@ def test_scan_equals_the_folded_structure_constants(monkeypatch):
     assert report.min_slack < 0
 
 
+def test_terms_equal_the_newton_route_on_every_pair_to_16():
+    # every pair with parts equal to 1 is derived from its ones-free product;
+    # the oracle runs the Newton route on the full pair.  One memo, in the
+    # scan's order, so that the chains of tau~ are reused as in the scan.
+    memo = {}
+    pairs = 0
+    for sigma, tau in _pairs(16):
+        got = sorted(explorer._terms(sigma, tau, memo))
+        want = sorted((s, k, d) for s, diffs in explorer._newton_terms(sigma, tau).items()
+                      for k, d in enumerate(diffs) if d)
+        assert got == want, (sigma, tau)
+        pairs += 1
+    assert pairs == 915  # as deg1_conjecture_scan(16) counts
+    # in any order, with a memo of its own, and with an empty factor
+    for sigma, tau in [(OddPartition((3, 1, 1)), OddPartition((1,))),
+                       (OddPartition(()), OddPartition((5, 1, 1))),
+                       (OddPartition((1, 1)), OddPartition(()))]:
+        assert sorted(explorer._terms(sigma, tau, {})) == sorted(
+            (s, k, d) for s, diffs in explorer._newton_terms(sigma, tau).items()
+            for k, d in enumerate(diffs) if d)
+
+
 def _spin_sums_by_dot_products(sigma_t, tau_t, n):
     # the sums of _spin_sums, one dot product per column
     table = character_table(n)

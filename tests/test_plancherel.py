@@ -21,6 +21,7 @@ from superq.partitions import (
 )
 from superq.plancherel import (
     PolynomialInN,
+    _fold,
     _integer_form,
     average_bruteforce,
     average_mu_bruteforce,
@@ -241,10 +242,10 @@ def test_folded_terms_that_cancel():
 def test_fold_leaves_the_parts_above_1():
     f = GammaElement({rho: 1 for d in range(1, 7) for rho in enumerate_odd(d)})
     assert len(f.support()) == 13
-    denom, terms = _integer_form(f, 10)
+    denom, terms = _integer_form(f)
     # p_(1^k) -> 10^k, p_(3,1^k) -> 10^k p_3, p_(5,1) -> 10 p_5, p_(3,3)
     assert denom == 1
-    assert dict(terms) == {(): 10 + 100 + 1000 + 10**4 + 10**5 + 10**6,
+    assert dict(_fold(terms, 10)) == {(): 10 + 100 + 1000 + 10**4 + 10**5 + 10**6,
                            (3,): 1 + 10 + 100 + 1000, (5,): 1 + 10, (3, 3): 1}
 
 
