@@ -231,6 +231,23 @@ def _add_one(terms: list[tuple], size: int) -> list[tuple]:
     return out
 
 
+def _sigma_side(sigma: OddPartition, sigma_t: tuple, tau_t: tuple, memo: dict) -> list[tuple]:
+    """The terms of fp_sigma * fp_tau~, kept in ``memo`` by (sigma~, tau~) at
+    the last sigma reached, so that each 1 sigma gains costs one step."""
+    sides = memo.setdefault("sides", {})
+    size, terms = sides.get((sigma_t, tau_t), (None, None))
+    if size is None or size > sigma.size:
+        key = tuple(sorted((sigma_t, tau_t)))
+        bases = memo.setdefault("bases", {})
+        if key not in bases:
+            bases[key] = _ones_free_terms(*key)
+        size, terms = sum(sigma_t), bases[key]
+    for size in range(size, sigma.size):
+        terms = _add_one(terms, size)
+    sides[sigma_t, tau_t] = sigma.size, terms
+    return terms
+
+
 def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
     """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
     coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
@@ -240,22 +257,18 @@ def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
     The Newton route runs once per ones-free product fp_sigma~ * fp_tau~;
     every 1 of sigma, then of tau, is one ``_add_one`` step (module
     docstring).  ``memo`` belongs to the caller and lives for one scan or one
-    ``structure_constants`` call.  It keeps the ones-free terms by
-    (sigma~, tau~), and for the current sigma the last terms reached on each
-    tau~ chain, so that when tau gains a 1 one step suffices."""
+    ``structure_constants`` call.  It keeps three things, each reached by
+    steps from the one before: the ones-free terms by (sigma~, tau~); the
+    terms of fp_sigma * fp_tau~ by (sigma~, tau~) at the last sigma reached,
+    so that when sigma gains a 1 one step suffices; and for the current
+    sigma the last terms reached on each tau~ chain, so that when tau gains
+    a 1 one step suffices."""
     sigma_t, tau_t = _ones_free(sigma.parts), _ones_free(tau.parts)
     if memo.get("sigma") != sigma:
         memo["sigma"], memo["chains"] = sigma, {}
     size, terms = memo["chains"].get(tau_t, (None, None))
     if size is None or size > tau.size:
-        key = tuple(sorted((sigma_t, tau_t)))
-        bases = memo.setdefault("bases", {})
-        if key not in bases:
-            bases[key] = _ones_free_terms(*key)
-        terms = bases[key]
-        for grown in range(sum(sigma_t), sigma.size):
-            terms = _add_one(terms, grown)
-        size = sum(tau_t)
+        size, terms = sum(tau_t), _sigma_side(sigma, sigma_t, tau_t, memo)
     for size in range(size, tau.size):
         terms = _add_one(terms, size)
     memo["chains"][tau_t] = tau.size, terms

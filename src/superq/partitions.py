@@ -6,15 +6,23 @@ T(k, j) of the second kind and the signed s(k, j) of the first kind, which
 are inverse unitriangular matrices, and the Newton forward differences
 that read a polynomial off its values at 0, 1, 2, ...).
 
+The enumerations run by successor steps in decreasing lexicographic order
+on one list (Knuth, TAOCP Vol. 4A, 7.2.1.4): pop the parts that cannot
+shrink, lower the last part that can, and refill the freed sum greedily
+with the largest parts allowed.  They use no recursion and O(length)
+working memory; the recursive descent on the largest part is their test
+oracle.
+
 Skew counts g^{lambda/mu} come from a forward sweep that adds one cell per
 step to every shape and sums the counts arriving at the same shape; the
 sweep of ``skew_counts`` keys a shape by the set of its parts as one
 integer, mask = 1 + sum_i 2^{lambda_i}.  ``_strict_walk`` visits the strict
-partitions of n depth first on an explicit stack and grows g (by the hook
-formula) and the power sums a part at a time, so a prefix does its share
-once for every partition that extends it.  ``g`` and ``g_skew`` still
-compute one shape at a time, and the tests check the walk and the sweep
-against them.
+partitions with sizes in a range [lo, hi] depth first on an explicit stack
+and grows g (by the hook formula) and the power sums a part at a time, so a
+prefix does its share once for every partition that extends it.  Every
+prefix is itself a strict partition, so one walk serves every size of the
+range.  ``g`` and ``g_skew`` still compute one shape at a time, and the
+tests check the walk and the sweep against them.
 
 Partitions are immutable, hashable, and typed: a ``StrictPartition`` never
 compares equal to an ``OddPartition`` with the same parts, so the three
@@ -166,36 +174,71 @@ def display_sort_key(partition):
 # --- enumeration (decreasing lexicographic within each size) ---------------
 
 
-def _strict_tuples(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        if first * (first + 1) < 2 * n:
-            break  # the parts below first sum to at most first(first-1)/2
-        for rest in _strict_tuples(n - first, first - 1):
-            yield (first, *rest)
+def _strict_tuples(n):
+    # Successor steps on one list: pop the parts that cannot shrink, lower
+    # the last part p that can by 1, and refill the freed sum greedily with
+    # the largest parts allowed, top, top - 1, ..., and what is left.  p can
+    # shrink when p - 1 > p - 2 > ... > 1 reach the sum freed with it:
+    # (p - 1) p / 2 >= rest.
+    parts, rest, top = [], n, n
+    while True:
+        while rest > top:
+            parts.append(top)
+            rest -= top
+            top -= 1
+        if rest:
+            parts.append(rest)
+        yield tuple(parts)
+        rest = 0
+        while parts:
+            p = parts.pop()
+            rest += p
+            if p * (p - 1) >= 2 * rest:
+                top = p - 1
+                break
+        else:
+            return
 
 
-def _odd_tuples(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    start = min(n, max_part)
-    if start % 2 == 0:
-        start -= 1
-    for first in range(start, 0, -2):
-        for rest in _odd_tuples(n - first, first):
-            yield (first, *rest)
+def _odd_tuples(n):
+    # As _strict_tuples: every part above 1 can shrink, by 2.  The fill
+    # repeats the largest odd part allowed, and a remainder r that is even
+    # ends in (r - 1, 1).  n | 1 is a harmless bound when n is even.
+    parts, rest, top = [], n, n | 1
+    while True:
+        repeat, r = divmod(rest, top)
+        parts += [top] * repeat
+        if r % 2:
+            parts.append(r)
+        elif r:
+            parts += (r - 1, 1)
+        yield tuple(parts)
+        # the 1s come last and cannot shrink; the part before them can
+        ones = parts.index(1) if parts and parts[-1] == 1 else len(parts)
+        if not ones:
+            return
+        top = parts[ones - 1]
+        rest = len(parts) - ones + top
+        del parts[ones - 1:]
+        top -= 2
 
 
-def _ordinary_tuples(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _ordinary_tuples(n - first, first):
-            yield (first, *rest)
+def _ordinary_tuples(n):
+    # As _odd_tuples, with every part allowed and lowered by 1.
+    parts, rest, top = [], n, max(n, 1)
+    while True:
+        repeat, r = divmod(rest, top)
+        parts += [top] * repeat
+        if r:
+            parts.append(r)
+        yield tuple(parts)
+        ones = parts.index(1) if parts and parts[-1] == 1 else len(parts)
+        if not ones:
+            return
+        top = parts[ones - 1]
+        rest = len(parts) - ones + top
+        del parts[ones - 1:]
+        top -= 1
 
 
 @cache
@@ -203,7 +246,7 @@ def enumerate_strict(n: int) -> tuple[StrictPartition, ...]:
     """All strict partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(map(StrictPartition._trusted, _strict_tuples(n, n)))
+    return tuple(map(StrictPartition._trusted, _strict_tuples(n)))
 
 
 @cache
@@ -211,7 +254,7 @@ def enumerate_odd(n: int) -> tuple[OddPartition, ...]:
     """All odd partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(map(OddPartition._trusted, _odd_tuples(n, n)))
+    return tuple(map(OddPartition._trusted, _odd_tuples(n)))
 
 
 @cache
@@ -219,7 +262,7 @@ def enumerate_ordinary(n: int) -> tuple[OrdinaryPartition, ...]:
     """All partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(OrdinaryPartition(t) for t in _ordinary_tuples(n, n))
+    return tuple(OrdinaryPartition(t) for t in _ordinary_tuples(n))
 
 
 # --- shifted diagrams -------------------------------------------------------
@@ -387,9 +430,10 @@ def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
     return {_mask_parts(mask): count for mask, count in _skew_masks(mu, n).items()}
 
 
-def _strict_walk(n: int, powers: tuple):
-    """(mask, l(lam), g(lam), (p_r(lam) for r in powers)) for every strict
-    lam of n, with mask = _mask(lam.parts) as in ``skew_counts``.
+def _strict_walk(lo: int, hi: int, powers: tuple):
+    """(|lam|, mask, l(lam), g(lam), (p_r(lam) for r in powers)) for every
+    strict lam with lo <= |lam| <= hi, with mask = _mask(lam.parts) as in
+    ``skew_counts``.
 
     Depth first over the parts, largest first, on an explicit stack, so a
     prefix computes its share of the hook formula and of the power sums
@@ -398,22 +442,25 @@ def _strict_walk(n: int, powers: tuple):
     appending a part b below the parts a of a prefix of size s multiplies
     g by C(s + b, b) prod (a - b) / prod (a + b), and that division is exact
     because the result is the g of the longer prefix.  Appending b also adds
-    b^r to each p_r.
+    b^r to each p_r.  A prefix is yielded when its size is in range, and
+    a part b is appended only if the parts b > b - 1 > ... > 1 can still
+    reach lo.
     """
-    if n < 0:
+    if lo < 0:
         raise ValueError("n must be nonnegative")
-    power_rows = [tuple(b**r for r in powers) for b in range(n + 1)]
+    power_rows = [tuple(b**r for r in powers) for b in range(hi + 1)]
     # (parts, mask, size, g, power sums) of a prefix
     stack = [((), 1, 0, 1, (0,) * len(powers))]
     while stack:
         parts, mask, size, count, sums = stack.pop()
-        if size == n:
-            yield mask, len(parts), count, sums
-            continue
-        rest = n - size
-        for b in range(min(rest, parts[-1] - 1) if parts else rest, 0, -1):
-            if b * (b + 1) < 2 * rest:
-                break  # the parts below b sum to at most b(b-1)/2
+        if size >= lo:
+            yield size, mask, len(parts), count, sums
+            if size == hi:
+                continue
+        need = 2 * (lo - size)
+        for b in range(min(hi - size, parts[-1] - 1) if parts else hi - size, 0, -1):
+            if b * (b + 1) < need:
+                break  # the parts b, b - 1, ..., 1 sum to b(b+1)/2 < lo - size
             numer = comb(size + b, b)
             denom = 1
             for a in parts:

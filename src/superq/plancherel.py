@@ -24,9 +24,13 @@ E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
 brute-force values at n = 0..d determine them, and Newton forward
 differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
 One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
-The nodes share their set-up: f is written in integers once per call, and
-only p_1 = n is folded in per node; the skew counts of E_{mu,n} at every
-node come from one sweep that keeps each layer (``_skew_layers``).
+All d + 2 nodes come from one walk over the strict partitions of sizes
+0..d + 1 (m..m + d + 1 for E_{mu,n}, m = |mu|), in which every prefix is
+itself a shape of a smaller node: f is written in integers once per call,
+p_1 = n is folded in per node, and each shape adds to the total of its own
+size.  The skew counts of E_{mu,n} at every node come from one sweep that
+keeps each layer (``_skew_layers``).  One brute-force average per node,
+kept in the tests, is the oracle of the one walk.
 
 The independent routes (``*_frak``) are the oracles for tests and ``superq
 verify``.  E_n reads the P*-coefficients of f = sum_mu b_mu P*_mu
@@ -255,20 +259,22 @@ def _fold(terms, size: int) -> list[tuple[tuple, int]]:
     return list(folded.items())
 
 
-def _weighted_total(terms, powers: tuple, shapes) -> int:
-    """sum over (weight, sums) in shapes of weight * sum_mu a_mu prod_i
-    p_{mu_i}, where sums holds p_r for r in powers."""
+def _weighted_totals(terms, powers: tuple, lo: int, hi: int, shapes) -> list[int]:
+    """For each size n = lo..hi, the sum over the (n, weight, sums) in
+    shapes of weight * sum_mu a_mu prod_i p_{mu_i}, where sums holds p_r
+    for r in powers and the a_mu are the terms folded at n (``_fold``)."""
     index = {r: i for i, r in enumerate(powers)}
-    monomials = [(a, [index[r] for r in mu]) for mu, a in terms]
-    total = 0
-    for weight, sums in shapes:
+    monomials = [[(a, [index[r] for r in mu]) for mu, a in _fold(terms, n)]
+                 for n in range(lo, hi + 1)]
+    totals = [0] * len(monomials)
+    for n, weight, sums in shapes:
         value = 0
-        for a, mu in monomials:
+        for a, mu in monomials[n - lo]:
             for i in mu:
                 a *= sums[i]
             value += a
-        total += weight * value
-    return total
+        totals[n - lo] += weight * value
+    return totals
 
 
 def _powers(terms) -> tuple:
@@ -276,26 +282,29 @@ def _powers(terms) -> tuple:
     return tuple(sorted({r for mu, _, _ in terms for r in mu}))
 
 
-def _average(denom: int, terms, n: int) -> Rat:
-    # E_n of f, with (denom, terms) = _integer_form(f)
+def _averages(denom: int, terms, lo: int, hi: int) -> list[Rat]:
+    # E_n of f for n = lo..hi from one walk, with (denom, terms) = _integer_form(f)
     powers = _powers(terms)
-    shapes = ((count * count << (n - length), sums)
-              for _, length, count, sums in _strict_walk(n, powers))
-    return rat(_weighted_total(_fold(terms, n), powers, shapes),
-               denom * factorial(n))
+    shapes = ((size, count * count << (size - length), sums)
+              for size, _, length, count, sums in _strict_walk(lo, hi, powers))
+    totals = _weighted_totals(terms, powers, lo, hi, shapes)
+    return [rat(total, denom * factorial(n)) for n, total in enumerate(totals, lo)]
 
 
-def _average_mu(denom: int, terms, mu: StrictPartition, n: int,
-                skews: dict[int, int]) -> Rat:
-    # E_{mu,n} of f, with (denom, terms) = _integer_form(f), skews = _skew_masks(mu, n)
+def _mu_averages(denom: int, terms, mu: StrictPartition, lo: int, hi: int,
+                 skews: dict[int, int]) -> list[Rat]:
+    # E_{mu,n} of f for n = lo..hi from one walk, with (denom, terms) =
+    # _integer_form(f) and skews holding _skew_masks(mu, n) for every such n
+    # (a mask is one shape, so the layers of all n share one dict)
     powers = _powers(terms)
     m = mu.size
-    shift = n + mu.length
-    shapes = ((count * skews[mask] << (shift - length), sums)
-              for mask, length, count, sums in _strict_walk(n + m, powers)
+    shift = mu.length - m
+    shapes = ((size, count * skews[mask] << (size + shift - length), sums)
+              for size, mask, length, count, sums in _strict_walk(lo + m, hi + m, powers)
               if mask in skews)
-    return rat(_weighted_total(_fold(terms, n + m), powers, shapes) * factorial(m),
-               denom * factorial(n + m) * g(mu))
+    totals = _weighted_totals(terms, powers, lo + m, hi + m, shapes)
+    return [rat(total * factorial(m), denom * factorial(n + m) * g(mu))
+            for n, total in enumerate(totals, lo)]
 
 
 def average_bruteforce(f, n: int) -> Rat:
@@ -313,7 +322,7 @@ def average_bruteforce(f, n: int) -> Rat:
     if n < 0:
         raise ValueError("n must be nonnegative")
     denom, terms = _integer_form(f)
-    return _average(denom, terms, n)
+    return _averages(denom, terms, n, n)[0]
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
@@ -329,7 +338,7 @@ def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     if n < 0:
         raise ValueError("n must be nonnegative")
     denom, terms = _integer_form(f)
-    return _average_mu(denom, terms, mu, n, _skew_masks(mu, n))
+    return _mu_averages(denom, terms, mu, n, n, _skew_masks(mu, n))[0]
 
 
 def _require_gamma(f):
@@ -359,7 +368,7 @@ def average_symbolic(f: GammaElement) -> PolynomialInN:
     _require_gamma(f)
     d = max(f.degree(), 0)
     denom, terms = _integer_form(f)
-    return _interpolate([_average(denom, terms, n) for n in range(d + 2)])
+    return _interpolate(_averages(denom, terms, 0, d + 1))
 
 
 def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
@@ -371,8 +380,10 @@ def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
     _require_gamma(f)
     d = max(f.degree(), 0)
     denom, terms = _integer_form(f)
-    return _interpolate([_average_mu(denom, terms, mu, n, skews)
-                         for n, skews in enumerate(_skew_layers(mu, d + 1))])
+    skews = {}
+    for layer in _skew_layers(mu, d + 1):
+        skews.update(layer)
+    return _interpolate(_mu_averages(denom, terms, mu, 0, d + 1, skews))
 
 
 def average_symbolic_frak(f: GammaElement) -> PolynomialInN:

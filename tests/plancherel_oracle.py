@@ -1,9 +1,17 @@
 """The per-shape route to brute-force Plancherel averages, kept as the test
 oracle of the integer route in ``superq.plancherel``: one rational
-probability and one rational value f(lambda) per strict partition."""
+probability and one rational value f(lambda) per strict partition.  And
+the per-node route to symbolic averages, the oracle of the one walk over
+all interpolation nodes: one brute-force average for each n."""
 
 from superq.partitions import enumerate_strict
-from superq.plancherel import prob, prob_mu
+from superq.plancherel import (
+    _interpolate,
+    average_bruteforce,
+    average_mu_bruteforce,
+    prob,
+    prob_mu,
+)
 from superq.rational import ZERO
 
 
@@ -17,3 +25,15 @@ def oracle_average_mu(f, mu, n):
     """sum over strict lambda of n + |mu| of prob_mu(mu, n, lambda) * f(lambda)."""
     return sum((prob_mu(mu, n, lam) * f.evaluate(lam)
                 for lam in enumerate_strict(n + mu.size)), start=ZERO)
+
+
+def oracle_average_symbolic(f):
+    """E_n[f] interpolated from average_bruteforce at n = 0..deg f + 1."""
+    d = max(f.degree(), 0)
+    return _interpolate([average_bruteforce(f, n) for n in range(d + 2)])
+
+
+def oracle_average_mu_symbolic(f, mu):
+    """E_{mu,n}[f] interpolated from average_mu_bruteforce at n = 0..deg f + 1."""
+    d = max(f.degree(), 0)
+    return _interpolate([average_mu_bruteforce(f, mu, n) for n in range(d + 2)])

@@ -4,9 +4,10 @@ of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, hat_p(k)
 by the unitriangular system of the telescoping identity
 p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], the frak-p
 expansion of an element by peeling its top-degree terms, the Han-Xiong
-generating-series identity by truncated power-series products and exp, and
+generating-series identity by truncated power-series products and exp,
 the columns of the character tables by bar removal, one per-lambda sum for
-each column."""
+each column, and the three partition enumerations by descent on the
+largest part."""
 
 from functools import cache
 from math import comb, factorial
@@ -25,6 +26,42 @@ from superq.partitions import (
 )
 from superq.rational import ONE, ZERO, rat
 from superq.schurq import p_fn
+
+
+def oracle_strict_tuples(n, max_part):
+    """The strict partitions of n with parts <= max_part, decreasing
+    lexicographic: each first part, then the partitions of the rest below it."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        if first * (first + 1) < 2 * n:
+            break  # the parts below first sum to at most first(first-1)/2
+        for rest in oracle_strict_tuples(n - first, first - 1):
+            yield (first, *rest)
+
+
+def oracle_odd_tuples(n, max_part):
+    """As ``oracle_strict_tuples``, for odd parts, weakly decreasing."""
+    if n == 0:
+        yield ()
+        return
+    start = min(n, max_part)
+    if start % 2 == 0:
+        start -= 1
+    for first in range(start, 0, -2):
+        for rest in oracle_odd_tuples(n - first, first):
+            yield (first, *rest)
+
+
+def oracle_ordinary_tuples(n, max_part):
+    """As ``oracle_strict_tuples``, for all parts, weakly decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in oracle_ordinary_tuples(n - first, first):
+            yield (first, *rest)
 
 
 @cache

@@ -278,7 +278,8 @@ def test_lab_cap_is_a_quick_domain_error(argv):
      "max_n = 15 exceeds the cap 14; raise cap= (--cap) to allow"),
     (("qfunc", "12,10,8,6,4,2"),
      "|lambda| = 42 exceeds the cap 30; raise --cap to allow"),
-], ids=["pstar", "chartable", "lab-p2", "qfunc"])
+    (("enum", "150"), "n = 150 exceeds the cap 80; raise --cap to allow"),
+], ids=["pstar", "chartable", "lab-p2", "qfunc", "enum"])
 def test_work_budget_is_a_quick_domain_error(argv, message):
     start = time.perf_counter()
     assert assert_domain_error_in_subprocess(*argv) == message
@@ -297,6 +298,10 @@ def test_work_budget_can_be_raised(capsys):
     code, out, err = run(capsys, "qfunc", "2,1", "--cap", "2")
     assert code == 1 and out == "" and "cap 2" in err
     assert run(capsys, "qfunc", "2,1", "--cap", "3") == run(capsys, "qfunc", "2,1")
+    code, out, err = run(capsys, "enum", "5", "--cap", "4")
+    assert code == 1 and out == "" and "cap 4" in err
+    assert run(capsys, "enum", "5", "--cap", "5")[1].encode() == \
+        cli_commands.read_golden("enum")
 
 
 def test_lab_scan_to_the_cap_is_quick():

@@ -156,6 +156,23 @@ def test_terms_equal_the_newton_route_on_every_pair_to_16():
             for k, d in enumerate(diffs) if d)
 
 
+def test_sigma_gaining_a_one_costs_one_step(monkeypatch):
+    # fp_sigma * fp_tau~ is kept by (sigma~, tau~), so no tau~ chain replays
+    # the 1s of sigma from the ones-free product
+    calls = 0
+    step = explorer._add_one
+
+    def counted(terms, size):
+        nonlocal calls
+        calls += 1
+        return step(terms, size)
+
+    monkeypatch.setattr(explorer, "_add_one", counted)
+    report = deg1_conjecture_scan(16)
+    assert (report.pairs_scanned, report.records_checked) == (915, 12248)
+    assert calls <= 1124
+
+
 def _spin_sums_by_dot_products(sigma_t, tau_t, n):
     # the sums of _spin_sums, one dot product per column
     table = character_table(n)

@@ -6,7 +6,12 @@ from math import factorial
 import pytest
 
 from superq import partitions
-from recursive_oracle import oracle_g_skew
+from recursive_oracle import (
+    oracle_g_skew,
+    oracle_odd_tuples,
+    oracle_ordinary_tuples,
+    oracle_strict_tuples,
+)
 from superq.partitions import (
     EMPTY_STRICT,
     Cell,
@@ -20,6 +25,7 @@ from superq.partitions import (
     contains,
     corners,
     enumerate_odd,
+    enumerate_ordinary,
     enumerate_strict,
     falling,
     g,
@@ -169,6 +175,45 @@ def test_enumeration_is_decreasing_lex():
         assert len(set(parts)) == len(parts)
 
 
+def test_successor_steps_equal_the_recursive_descent():
+    # tuple for tuple, in order; the cached enumerations only wrap the tuples
+    for n in range(41):
+        assert list(partitions._strict_tuples(n)) == list(oracle_strict_tuples(n, n))
+        assert list(partitions._odd_tuples(n)) == list(oracle_odd_tuples(n, n))
+        assert list(partitions._ordinary_tuples(n)) == list(oracle_ordinary_tuples(n, n))
+    for n in range(13):
+        assert [lam.parts for lam in enumerate_strict(n)] == list(oracle_strict_tuples(n, n))
+        assert [rho.parts for rho in enumerate_odd(n)] == list(oracle_odd_tuples(n, n))
+        assert [mu.parts for mu in enumerate_ordinary(n)] == \
+            list(oracle_ordinary_tuples(n, n))
+
+
+def test_strict_counts_are_the_coefficients_of_the_product():
+    # prod_{k >= 1} (1 + x^k) = sum_n q(n) x^n, truncated after x^70
+    coeffs = [1] + [0] * 70
+    for k in range(1, 71):
+        for n in range(70, k - 1, -1):
+            coeffs[n] += coeffs[n - k]
+    assert [sum(1 for _ in partitions._strict_tuples(n)) for n in range(71)] == coeffs
+
+
+def test_enumerations_do_not_recurse():
+    # (1^60) is an odd partition of 60 with 60 parts; 20 frames to spare,
+    # and past the cache, which may already hold both
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        odd = enumerate_odd.__wrapped__(60)
+        strict = enumerate_strict.__wrapped__(60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert odd[0].parts == (59, 1) and odd[-1].parts == (1,) * 60
+    assert strict[0].parts == (60,) and len(strict) == len(odd) == 10880
+
+
 # --- diagrams and corners ----------------------------------------------------------
 
 
@@ -270,13 +315,24 @@ def test_walk_equals_enumeration_with_hook_formula():
     # the prefix-shared walk against g and power sums computed shape by shape
     powers = (1, 2, 3, 6)
     for n in range(31):
-        want = sorted((_mask(lam.parts), lam.length, g(lam),
+        want = sorted((n, _mask(lam.parts), lam.length, g(lam),
                        tuple(sum(part**r for part in lam) for r in powers))
                       for lam in enumerate_strict(n))
-        assert sorted(_strict_walk(n, powers)) == want
-    assert set(_strict_walk(4, ())) == {(_mask((3, 1)), 2, 2, ()), (_mask((4,)), 1, 1, ())}
+        assert sorted(_strict_walk(n, n, powers)) == want
+    assert set(_strict_walk(4, 4, ())) == {(4, _mask((3, 1)), 2, 2, ()),
+                                           (4, _mask((4,)), 1, 1, ())}
     with pytest.raises(ValueError):
-        list(_strict_walk(-1, ()))
+        list(_strict_walk(-1, -1, ()))
+
+
+def test_walk_over_a_size_range_equals_the_single_size_walks():
+    # every prefix with a size in range is yielded, once, as by its own walk
+    powers = (1, 3, 5)
+    for hi in range(21):
+        for lo in range(hi + 1):
+            want = sorted(shape for n in range(lo, hi + 1)
+                          for shape in _strict_walk(n, n, powers))
+            assert sorted(_strict_walk(lo, hi, powers)) == want, (lo, hi)
 
 
 def test_skew_sweep_from_empty_equals_hook_formula():

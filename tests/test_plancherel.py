@@ -1,8 +1,15 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 import strategies as strat
-from plancherel_oracle import oracle_average, oracle_average_mu
+from plancherel_oracle import (
+    oracle_average,
+    oracle_average_mu,
+    oracle_average_mu_symbolic,
+    oracle_average_symbolic,
+)
 from superq.content import OrdinaryPSumExpr, hat_p
 from superq.frakp import (
     deg1,
@@ -315,6 +322,28 @@ def test_interpolation_equals_frak_route(f):
 @given(strat.gamma_elements(max_degree=7), strat.strict_partitions(max_size=4))
 def test_mu_interpolation_equals_frak_route(f, mu):
     assert average_mu_symbolic(f, mu) == average_mu_symbolic_frak(f, mu)
+
+
+def _seeded_element(seed, max_degree):
+    # a few odd power sums of degree <= max_degree, ones included, with
+    # seeded rational coefficients; the top degree is hit
+    rng = random.Random(seed)
+    pool = [rho for k in range(max_degree + 1) for rho in enumerate_odd(k)]
+    terms = {rho: rat(rng.randint(-40, 40) or 1, rng.randint(1, 12))
+             for rho in rng.sample(pool, 4)}
+    top = enumerate_odd(max_degree)
+    terms[top[seed % len(top)]] = rat(rng.randint(1, 9), rng.randint(1, 5))
+    return GammaElement(terms)
+
+
+def test_one_walk_equals_the_walk_per_node():
+    # all d + 2 interpolation nodes from one walk, against one walk per node
+    mus = [mu for m in range(5) for mu in enumerate_strict(m)]
+    for seed in range(30):
+        f = _seeded_element(seed, 3 + seed % 7)
+        assert average_symbolic(f) == oracle_average_symbolic(f), seed
+        mu = mus[seed % len(mus)]
+        assert average_mu_symbolic(f, mu) == oracle_average_mu_symbolic(f, mu), seed
 
 
 def test_interpolation_rejects_non_polynomial_values():

@@ -111,12 +111,9 @@ def test_every_imported_name_is_used():
                 assert name in used, (path.name, name)
 
 
-# Recursions that stay: the enumerations descend by the largest part, and
-# the expression evaluator and parser follow the nesting of the input.
+# Recursions that stay: the expression evaluator and parser follow the
+# nesting of the input.
 ALLOWED_SELF_CALLS = {
-    ("partitions.py", "_strict_tuples"),
-    ("partitions.py", "_odd_tuples"),
-    ("partitions.py", "_ordinary_tuples"),
     ("expr.py", "eval_expr"),
     ("expr.py", "_Parser.unary"),
 }
