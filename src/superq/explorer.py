@@ -77,7 +77,7 @@ from .partitions import (
 )
 from .plancherel import average_bruteforce
 from .rational import Rat, rat, rat_str
-from .schurq import _pack_row, _unpack_row, character_table
+from .schurq import _pack_rows, _unpack_row, character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
 # need character_table(cap + 1), and a whole scan to the cap takes about
@@ -134,7 +134,7 @@ def _hook_weights(n: int) -> tuple[int, ...]:
 
 @cache
 def _packed_rows(n: int) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
-    """Each row of character_table(n) packed by ``_pack_row`` into one
+    """Each row of character_table(n) packed by ``_pack_rows`` into one
     integer sum_j X^lambda_{rho_j} B^j, with B = 2^{8 b} for a digit width of
     b bytes.
 
@@ -145,10 +145,10 @@ def _packed_rows(n: int) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
     row_lambda are exactly the S.
     """
     table = character_table(n)
-    rows = list(zip(*table._columns))
+    rows = table._rows
     bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(_hook_weights(n), rows))
     width = (bound.bit_length() + 8) // 8  # so that B/2 = 2^{8 b - 1} > bound
-    packed = tuple(_pack_row(row, width) for row in rows)
+    packed = tuple(_pack_rows(rows, width))
     return width, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
 
 
@@ -157,8 +157,10 @@ def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     parts of s, zeros dropped; see the module docstring.  One packed sum
     over the rows of the table gives S for every column at once."""
     table = character_table(n)
-    a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
-    b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
+    i = table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]
+    j = table._col_of[tau_t + (1,) * (n - sum(tau_t))]
+    a = [row[i] for row in table._rows]
+    b = [row[j] for row in table._rows]
     width, rows, keys = _packed_rows(n)
     packed = sum(
         h * x * y * row
@@ -371,8 +373,17 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
         )
     report = ScanReport(max_total=max_total)
     records, low, high = 0, None, None
-    memo: dict = {}  # the ones-free products and tau~ chains of _terms
+    memo: dict = {"sides": {}, "bases": {}}  # the memo of _terms
     for a in range(1, max_total):
+        # drop what no pair with |sigma| >= a reads again: a side (sigma~,
+        # tau~) is stepped only for |tau| in [max(a, |tau~|), max_total - a],
+        # and a base only where a side starts, at sigma = sigma~, so at
+        # |sigma| <= max(|sigma~|, |tau~|)
+        sides, bases = memo["sides"], memo["bases"]
+        for key in [key for key in sides if max(a, sum(key[1])) > max_total - a]:
+            del sides[key]
+        for key in [key for key in bases if a > max(map(sum, key))]:
+            del bases[key]
         for sigma in enumerate_odd(a):
             for b in range(a, max_total - a + 1):
                 for tau in enumerate_odd(b):

@@ -196,6 +196,30 @@ def _bars(parts: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+def _all_bars(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    # (r, mu, w) for every r-bar of the strict partition `parts`, every odd r,
+    # in one walk over its parts; see the module docstring of superq.schurq
+    # for the kinds.
+    out = []
+    n = len(parts)
+    for i, a in enumerate(parts):
+        j = i + 1  # the first part after a that is <= b
+        for b in range(a - 1, 0, -2):  # (a): r = a - b = 1, 3, 5, ...
+            while j < n and parts[j] > b:
+                j += 1
+            if j == n or parts[j] != b:
+                mu = parts[:i] + parts[i + 1 : j] + (b,) + parts[j:]
+                out.append((a - b, mu, -1 if (j - i) % 2 == 0 else 1))
+        if a % 2:  # (b)
+            out.append((a, parts[:i] + parts[i + 1 :], -1 if (n - i) % 2 == 0 else 1))
+        for j in range(i + 1, n):  # (c), with lambda_j the smaller part
+            c = parts[j]
+            if (a + c) % 2:
+                mu = parts[:i] + parts[i + 1 : j] + parts[j + 1 :]
+                out.append((a + c, mu, -2 if (c + j - i) % 2 == 0 else 2))
+    return out
+
+
 @cache
 def oracle_columns(k: int) -> list[list[int]]:
     """The columns X^lambda_rho of the table of degree k, in the enumeration

@@ -176,11 +176,12 @@ def test_sigma_gaining_a_one_costs_one_step(monkeypatch):
 def _spin_sums_by_dot_products(sigma_t, tau_t, n):
     # the sums of _spin_sums, one dot product per column
     table = character_table(n)
-    a = table._columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
-    b = table._columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
+    columns = [list(column) for column in zip(*table._rows)]
+    a = columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
+    b = columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
     weights = [h * x * y for h, x, y in zip(explorer._hook_weights(n), a, b)]
     sums = {}
-    for rho, column in zip(table.odd, table._columns):
+    for rho, column in zip(table.odd, columns):
         total = sum(w * x for w, x in zip(weights, column))
         if total:
             sums[tuple(part for part in rho.parts if part > 1)] = total
@@ -234,6 +235,33 @@ def test_scan_keeps_no_sums_after_it_returns():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 100_000
+
+
+_SCAN_PEAK = textwrap.dedent("""
+    import gc, tracemalloc
+    from superq import explorer
+    from superq.partitions import enumerate_odd
+    for n in range(22):  # the tables and row packings a scan to 20 reads
+        explorer._packed_rows(n)
+        enumerate_odd(n)
+    gc.collect()
+    tracemalloc.start()
+    explorer.deg1_conjecture_scan(20)
+    print(tracemalloc.get_traced_memory()[1])
+""")
+
+
+def test_scan_memo_drops_what_no_later_pair_reads():
+    # the traced peak is 1.12 MB with the memo pruned at each new |sigma| and
+    # 1.52 MB when every entry lives until the scan returns (Python 3.11); the
+    # bound sits between the two
+    env = dict(os.environ)
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCAN_PEAK],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1_300_000
 
 
 def test_lab_cap():

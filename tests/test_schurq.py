@@ -10,7 +10,7 @@ import superq
 from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
-from recursive_oracle import _bars, oracle_columns
+from recursive_oracle import _all_bars, _bars, oracle_columns
 from superq.gamma import GammaElement, scalar_product
 from superq.partitions import (
     OddPartition,
@@ -24,8 +24,8 @@ from superq.partitions import (
 )
 from superq.rational import rat, is_integral
 from superq.schurq import (
-    _all_bars,
-    _pack_row,
+    _digit_width,
+    _pack_rows,
     _unpack_row,
     character,
     character_table,
@@ -142,7 +142,32 @@ def test_tables_equal_pfaffian_oracle():
 
 def test_tables_equal_the_column_oracle():
     for k in range(31):
-        assert character_table(k)._columns == oracle_columns(k)
+        columns = [list(column) for column in zip(*character_table(k)._rows)]
+        assert columns == oracle_columns(k)
+
+
+def test_bits_moved_on_masks_give_the_sum_over_the_bars():
+    # each row is the packed sum over the bars listed on part tuples, with the
+    # rows of smaller tables packed as 16-byte digits
+    for k in range(1, 21):
+        table = character_table(k)
+        blocks = {}  # r -> (packed suffix rows of table k - r by parts, shift)
+        start = 0
+        for rho in table.odd:
+            r = rho.parts[0]
+            if r not in blocks:
+                sub = character_table(k - r)
+                size = sum(1 for sigma in table.odd if sigma.parts[0] == r)
+                suffix = [row[len(row) - size:] for row in sub._rows]
+                packed = _pack_rows(suffix, 16)
+                blocks[r] = dict(zip((lam.parts for lam in sub.strict), packed)), 128 * start
+            start += 1
+        for lam, row in zip(table.strict, table._rows):
+            total = 0
+            for r, (packed, shift) in blocks.items():
+                for mu, w in _bars(lam.parts, r):
+                    total += w * packed[mu] << shift
+            assert list(_unpack_row(total, 16, len(table.odd))) == list(row)
 
 
 def test_one_pass_lists_the_bars_of_every_odd_r():
@@ -167,15 +192,24 @@ def test_row_codec_round_trips(width):
     a = [rng.randint(-(top // 3), top // 3) for _ in range(40)]
     b = [rng.randint(-(top // 3), top // 3) for _ in range(40)]
     for row in ([top, -top, 0, -1, 1, top], [-top] * 3, [top], [], a):
-        assert list(_unpack_row(_pack_row(row, width), width, len(row))) == row
+        [packed] = _pack_rows([row], width)
+        assert list(_unpack_row(packed, width, len(row))) == row
     # a sum of packed rows decodes to the sum of the rows, and a row shifted by
     # whole digits lands at that digit offset
-    packed = 2 * _pack_row(a, width) - _pack_row(b, width)
+    packed_a, packed_b = _pack_rows([a, b], width)
+    packed = 2 * packed_a - packed_b
     assert list(_unpack_row(packed, width, 40)) == [2 * x - y for x, y in zip(a, b)]
-    packed = _pack_row(a, width) + (_pack_row(b, width) << 8 * width * 40)
+    packed = packed_a + (packed_b << 8 * width * 40)
     assert list(_unpack_row(packed, width, 80)) == a + b
     with pytest.raises(OverflowError):
-        _pack_row([top + 2], width)
+        _pack_rows([[top + 2]], width)
+
+
+def test_bounds_past_eight_bytes_pick_sixteen_byte_digits():
+    assert [_digit_width(2**e - 1) for e in (7, 8, 15, 31, 63)] == [1, 2, 2, 4, 8]
+    for bound in (2**63, 3**50, 2**126, 2**127 - 1):
+        assert _digit_width(bound) == 16
+    assert _digit_width(2**127) == 17
 
 
 def test_character_table_checks_its_degree():
