@@ -50,11 +50,13 @@ as its base-B digits.  The digit width is fixed per n by the proven bound
 |S| <= sum_lambda h(lambda) M_lambda^3, with M_lambda the largest |entry| of
 row lambda, so the balanced (signed) digits decode exactly.
 
-``structure_constants`` and the scan share ``_terms``, which yields the
-integer d of every nonzero coefficient, normalised as the Newton difference
-of that pair.  The scan reads the slack deg1(sigma) + deg1(tau) - (|s| + 2k)
-off (s, k) alone and builds a record, through the same values as
-``structure_constants``, only for a violation.
+``structure_constants`` and the scan share ``_ones_free_terms`` and
+``_add_one``, which give the integer d of every coefficient, normalised as
+the Newton difference of that pair.  The scan walks the pairs of ones-free
+parts, and for each the two 1-chains in nested loops: sigma~ u 1^a one step
+per a, and from each of those tau~ u 1^b one step per b.  It reads the slack
+deg1(sigma) + deg1(tau) - (|s| + 2k) off (s, k) alone and builds a record,
+through the same values as ``structure_constants``, only for a violation.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .schurq import _pack_rows, _unpack_row, character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
 # need character_table(cap + 1), and a whole scan to the cap takes about
-# 1 s and 20 MB as a command; each total above it adds about 60%.
+# 0.6 s and 17 MB as a command; each total above it adds about 40%.
 LAB_CAP = 23
 
 # Default bound on max_n for the E_n[p_2] experiment, whose brute-force
@@ -233,51 +235,57 @@ def _add_one(terms: list[tuple], size: int) -> list[tuple]:
     return out
 
 
-def _sigma_side(sigma: OddPartition, sigma_t: tuple, tau_t: tuple, memo: dict) -> list[tuple]:
-    """The terms of fp_sigma * fp_tau~, kept in ``memo`` by (sigma~, tau~) at
-    the last sigma reached, so that each 1 sigma gains costs one step."""
-    sides = memo.setdefault("sides", {})
-    size, terms = sides.get((sigma_t, tau_t), (None, None))
-    if size is None or size > sigma.size:
-        key = tuple(sorted((sigma_t, tau_t)))
-        bases = memo.setdefault("bases", {})
-        if key not in bases:
-            bases[key] = _ones_free_terms(*key)
-        size, terms = sum(sigma_t), bases[key]
-    for size in range(size, sigma.size):
-        terms = _add_one(terms, size)
-    sides[sigma_t, tau_t] = sigma.size, terms
-    return terms
-
-
-def _terms(sigma: OddPartition, tau: OddPartition, memo: dict):
+def _terms(sigma: OddPartition, tau: OddPartition):
     """(s, k, d) for every nonzero coefficient of fp_sigma * fp_tau: the
     coefficient of fp_{s u 1^k} is 2^{l(s)} d / (2^{|s|} z_s k!
     (D + 1 - |sigma|)! (D + 1 - |tau|)!) with D = |sigma| + |tau|, and d
     is the integer k-th Newton difference of the scaled sums.
 
-    The Newton route runs once per ones-free product fp_sigma~ * fp_tau~;
+    The Newton route runs on the ones-free product fp_sigma~ * fp_tau~;
     every 1 of sigma, then of tau, is one ``_add_one`` step (module
-    docstring).  ``memo`` belongs to the caller and lives for one scan or one
-    ``structure_constants`` call.  It keeps three things, each reached by
-    steps from the one before: the ones-free terms by (sigma~, tau~); the
-    terms of fp_sigma * fp_tau~ by (sigma~, tau~) at the last sigma reached,
-    so that when sigma gains a 1 one step suffices; and for the current
-    sigma the last terms reached on each tau~ chain, so that when tau gains
-    a 1 one step suffices."""
+    docstring)."""
     sigma_t, tau_t = _ones_free(sigma.parts), _ones_free(tau.parts)
-    if memo.get("sigma") != sigma:
-        memo["sigma"], memo["chains"] = sigma, {}
-    size, terms = memo["chains"].get(tau_t, (None, None))
-    if size is None or size > tau.size:
-        size, terms = sum(tau_t), _sigma_side(sigma, sigma_t, tau_t, memo)
-    for size in range(size, tau.size):
+    terms = _ones_free_terms(sigma_t, tau_t)
+    for size in [*range(sum(sigma_t), sigma.size), *range(sum(tau_t), tau.size)]:
         terms = _add_one(terms, size)
-    memo["chains"][tau_t] = tau.size, terms
     for s, _, d in terms:
         for k, diff in enumerate(d):
             if diff:
                 yield s, k, diff
+
+
+def _scan_pairs(max_total: int):
+    """(sigma, tau, terms) for every unordered pair of nonempty odd
+    partitions with |sigma| + |tau| <= max_total, sigma first in
+    ``term_sort_key`` order, with the terms (s, |s|, d) of fp_sigma * fp_tau
+    as ``_add_one`` keeps them; the walk is the module docstring's."""
+    free = [rho.parts for n in range(max_total + 1) for rho in enumerate_odd(n)
+            if not rho.multiplicity(1)]
+    for i, sigma_t in enumerate(free):
+        for tau_t in free[i:]:
+            sigma_size, tau_size = sum(sigma_t), sum(tau_t)
+            room = max_total - sigma_size - tau_size
+            if room < 0:
+                break  # free is ordered by size
+            sigma_terms = _ones_free_terms(sigma_t, tau_t)
+            for a in range(room + 1):
+                if a:
+                    sigma_terms = _add_one(sigma_terms, sigma_size + a - 1)
+                elif not sigma_t:
+                    continue
+                sigma = OddPartition._trusted(sigma_t + (1,) * a)
+                terms = sigma_terms
+                # b <= a when sigma~ = tau~, so that each pair comes once
+                last = min(room - a, a) if sigma_t == tau_t else room - a
+                for b in range(last + 1):
+                    if b:
+                        terms = _add_one(terms, tau_size + b - 1)
+                    elif not tau_t:
+                        continue
+                    tau = OddPartition._trusted(tau_t + (1,) * b)
+                    # term_sort_key order: the smaller first, of equal sizes the larger parts
+                    tau_first = (tau_size + b, sigma.parts) < (sigma_size + a, tau.parts)
+                    yield (tau, sigma, terms) if tau_first else (sigma, tau, terms)
 
 
 def _record(sigma: OddPartition, tau: OddPartition, s: tuple, k: int,
@@ -304,7 +312,7 @@ def structure_constants(
         raise ValueError(
             f"|sigma| + |tau| = {total} exceeds the cap {cap}; raise cap= (--cap) to allow"
         )
-    records = [_record(sigma, tau, *term) for term in _terms(sigma, tau, {})]
+    records = [_record(sigma, tau, *term) for term in _terms(sigma, tau)]
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records
 
@@ -373,36 +381,23 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
         )
     report = ScanReport(max_total=max_total)
     records, low, high = 0, None, None
-    memo: dict = {"sides": {}, "bases": {}}  # the memo of _terms
-    for a in range(1, max_total):
-        # drop what no pair with |sigma| >= a reads again: a side (sigma~,
-        # tau~) is stepped only for |tau| in [max(a, |tau~|), max_total - a],
-        # and a base only where a side starts, at sigma = sigma~, so at
-        # |sigma| <= max(|sigma~|, |tau~|)
-        sides, bases = memo["sides"], memo["bases"]
-        for key in [key for key in sides if max(a, sum(key[1])) > max_total - a]:
-            del sides[key]
-        for key in [key for key in bases if a > max(map(sum, key))]:
-            del bases[key]
-        for sigma in enumerate_odd(a):
-            for b in range(a, max_total - a + 1):
-                for tau in enumerate_odd(b):
-                    if b == a and term_sort_key(tau) < term_sort_key(sigma):
-                        continue
-                    report.pairs_scanned += 1
-                    rhs = _deg1_of(sigma) + _deg1_of(tau)
-                    violations = []
-                    for s, k, diff in _terms(sigma, tau, memo):
-                        records += 1
-                        slack = rhs - sum(s) - 2 * k
-                        if low is None or slack < low:
-                            low = slack
-                        if high is None or slack > high:
-                            high = slack
-                        if slack < 0:
-                            violations.append(_record(sigma, tau, s, k, diff))
-                    violations.sort(key=lambda rec: term_sort_key(rec.rho))
-                    report.violations += violations
+    for sigma, tau, terms in _scan_pairs(max_total):
+        report.pairs_scanned += 1
+        rhs = _deg1_of(sigma) + _deg1_of(tau)
+        for s, size, d in terms:
+            for k, diff in enumerate(d):
+                if not diff:
+                    continue
+                records += 1
+                slack = rhs - size - 2 * k
+                if low is None or slack < low:
+                    low = slack
+                if high is None or slack > high:
+                    high = slack
+                if slack < 0:
+                    report.violations.append(_record(sigma, tau, s, k, diff))
+    report.violations.sort(key=lambda rec: (term_sort_key(rec.sigma), term_sort_key(rec.tau),
+                                            term_sort_key(rec.rho)))
     report.records_checked, report.min_slack, report.max_slack = records, low, high
     return report
 

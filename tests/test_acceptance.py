@@ -137,9 +137,10 @@ def _shifted_p2_values(route):
 
 def _term_above_rhs(route):
     # adds fp_{1^k} with deg1 = 2k above deg1(sigma) + deg1(tau)
-    def wrong(sigma, tau, memo):
-        yield from route(sigma, tau, memo)
-        yield (), explorer._deg1_of(sigma) + explorer._deg1_of(tau) + 1, 1
+    def wrong(max_total):
+        for sigma, tau, terms in route(max_total):
+            k = explorer._deg1_of(sigma) + explorer._deg1_of(tau) + 1
+            yield sigma, tau, [*terms, ((), 0, [0] * k + [1])]
     return wrong
 
 
@@ -158,7 +159,7 @@ BROKEN_ROUTES = [
     ("check_corner_functions", verify, "phi_series_check", _inverted),
     ("check_p2_experiment", verify, "p2_experiment", _shifted_p2_values),
     ("check_discrepancy_guard", verify, "average_bruteforce", _plus_one),
-    ("check_conjecture_scan", explorer, "_terms", _term_above_rhs),
+    ("check_conjecture_scan", explorer, "_scan_pairs", _term_above_rhs),
 ]
 
 

@@ -116,49 +116,57 @@ def _folded_report(max_total):
 def test_scan_equals_the_folded_structure_constants(monkeypatch):
     for max_total in range(2, 15):
         assert deg1_conjecture_scan(max_total) == _folded_report(max_total)
-    # terms with deg1 above deg1(sigma) + deg1(tau) <= 10 in the products of
-    # total 5: the scan builds their records through the same values as
+    # a term fp_{1^7} in the ones-free product fp_() * fp_3, where both
+    # routes read it: each 1 added to either factor keeps every entry of it
+    # nonzero and adds one, and every entry has deg1 >= 14 above
+    # deg1(sigma) + deg1(tau) <= 12, so the scan builds m_1(sigma) +
+    # m_1(tau) + 1 records per pair through the same values as
     # structure_constants
-    route = explorer._terms
+    route = explorer._ones_free_terms
 
-    def with_violations(sigma, tau, memo):
-        yield from route(sigma, tau, memo)
-        if sigma.size + tau.size == 5:
-            yield (3,), 4, -7
-            yield (), 6, 1
+    def with_violations(sigma_t, tau_t):
+        terms = route(sigma_t, tau_t)
+        if {sigma_t, tau_t} == {(), (3,)}:
+            terms = [*terms, ((), 0, [0] * 7 + [1])]
+        return terms
 
-    monkeypatch.setattr(explorer, "_terms", with_violations)
+    monkeypatch.setattr(explorer, "_ones_free_terms", with_violations)
     report = deg1_conjecture_scan(6)
     assert report == _folded_report(6)
-    assert len(report.violations) == 2 * sum(1 for s, t in _pairs(6) if s.size + t.size == 5)
+    ones = [s.multiplicity(1) + t.multiplicity(1) for s, t in _pairs(6)
+            if {explorer._ones_free(s.parts), explorer._ones_free(t.parts)} == {(), (3,)}]
+    assert len(report.violations) == sum(m + 1 for m in ones) == 20
     assert report.min_slack < 0
 
 
+def _newton_nonzero(sigma, tau):
+    return sorted((s, k, d) for s, diffs in explorer._newton_terms(sigma, tau).items()
+                  for k, d in enumerate(diffs) if d)
+
+
 def test_terms_equal_the_newton_route_on_every_pair_to_16():
-    # every pair with parts equal to 1 is derived from its ones-free product;
-    # the oracle runs the Newton route on the full pair.  One memo, in the
-    # scan's order, so that the chains of tau~ are reused as in the scan.
-    memo = {}
-    pairs = 0
-    for sigma, tau in _pairs(16):
-        got = sorted(explorer._terms(sigma, tau, memo))
-        want = sorted((s, k, d) for s, diffs in explorer._newton_terms(sigma, tau).items()
-                      for k, d in enumerate(diffs) if d)
+    # every pair with parts equal to 1 is derived from its ones-free product
+    # along the scan's walk; the oracle runs the Newton route on the full pair
+    walked = []
+    for sigma, tau, terms in explorer._scan_pairs(16):
+        want = _newton_nonzero(sigma, tau)
+        got = sorted((s, k, d) for s, _, diffs in terms for k, d in enumerate(diffs) if d)
         assert got == want, (sigma, tau)
-        pairs += 1
-    assert pairs == 915  # as deg1_conjecture_scan(16) counts
-    # in any order, with a memo of its own, and with an empty factor
+        assert sorted(explorer._terms(sigma, tau)) == want, (sigma, tau)
+        walked.append((sigma, tau))
+    # each pair of the scan exactly once, sigma first
+    assert len(walked) == len(set(walked)) == 915  # as deg1_conjecture_scan(16) counts
+    assert set(walked) == set(_pairs(16))
+    # in any order, and with an empty factor
     for sigma, tau in [(OddPartition((3, 1, 1)), OddPartition((1,))),
                        (OddPartition(()), OddPartition((5, 1, 1))),
                        (OddPartition((1, 1)), OddPartition(()))]:
-        assert sorted(explorer._terms(sigma, tau, {})) == sorted(
-            (s, k, d) for s, diffs in explorer._newton_terms(sigma, tau).items()
-            for k, d in enumerate(diffs) if d)
+        assert sorted(explorer._terms(sigma, tau)) == _newton_nonzero(sigma, tau)
 
 
 def test_sigma_gaining_a_one_costs_one_step(monkeypatch):
-    # fp_sigma * fp_tau~ is kept by (sigma~, tau~), so no tau~ chain replays
-    # the 1s of sigma from the ones-free product
+    # the walk steps each sigma~ u 1^a once and each tau~ u 1^b once from
+    # it, so no pair replays the 1s of sigma from the ones-free product
     calls = 0
     step = explorer._add_one
 
@@ -170,7 +178,7 @@ def test_sigma_gaining_a_one_costs_one_step(monkeypatch):
     monkeypatch.setattr(explorer, "_add_one", counted)
     report = deg1_conjecture_scan(16)
     assert (report.pairs_scanned, report.records_checked) == (915, 12248)
-    assert calls <= 1124
+    assert calls <= report.pairs_scanned
 
 
 def _spin_sums_by_dot_products(sigma_t, tau_t, n):
@@ -252,16 +260,18 @@ _SCAN_PEAK = textwrap.dedent("""
 
 
 def test_scan_memo_drops_what_no_later_pair_reads():
-    # the traced peak is 1.12 MB with the memo pruned at each new |sigma| and
-    # 1.52 MB when every entry lives until the scan returns (Python 3.11); the
-    # bound sits between the two
+    # the traced peak is 0.10 MB when only the 1-chains of the current pair
+    # of ones-free parts are alive, against 1.12 MB for a memo across pairs
+    # pruned at each new |sigma| (Python 3.11); the bound sits between the
+    # two.  Tuples on the interpreter's free lists count too: a partition
+    # and a sort key built by generators per pair lift it to 0.80 MB.
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SCAN_PEAK],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1_300_000
+    assert int(proc.stdout) < 800_000
 
 
 def test_lab_cap():
