@@ -70,7 +70,6 @@ from .content import OrdinaryPSumExpr
 from .partitions import (
     OddPartition,
     enumerate_odd,
-    enumerate_strict,
     falling,
     g,
     newton_differences,
@@ -89,6 +88,11 @@ LAB_CAP = 23
 # Default bound on max_n for the E_n[p_2] experiment, whose brute-force
 # averages walk every strict partition of each n <= max_n.
 P2_CAP = 14
+
+
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise cap= (--cap) to allow")
 
 
 def _deg1_of(rho: OddPartition) -> int:
@@ -127,30 +131,26 @@ def _ones_free(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def _hook_weights(n: int) -> tuple[int, ...]:
-    """h(lambda) = 2^{n-l(lambda)} n! / g(lambda) for each strict lambda of n,
-    in table row order."""
-    fact = factorial(n)
-    return tuple(2 ** (n - lam.length) * fact // g(lam) for lam in enumerate_strict(n))
-
-
-@cache
 def _packed_rows(n: int) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
     """Each row of character_table(n) packed by ``_pack_rows`` into one
     integer sum_j X^lambda_{rho_j} B^j, with B = 2^{8 b} for a digit width of
-    b bytes.
+    b bytes, and multiplied by the hook weight h(lambda) = 2^{n-l(lambda)}
+    n! / g(lambda).
 
-    Returns (b, the packed rows in table order, the m_1-free parts of each
-    rho_j).  Every sum S of ``_spin_sums`` obeys |S| <= sum_lambda h(lambda)
-    M_lambda^3, where M_lambda is the largest |X^lambda_rho| in row lambda,
-    and B/2 exceeds that bound, so the signed digits of sum_lambda w_lambda
-    row_lambda are exactly the S.
+    Returns (b, the weighted packed rows in table order, the m_1-free parts
+    of each rho_j).  Every sum S of ``_spin_sums`` obeys |S| <= sum_lambda
+    h(lambda) M_lambda^3, where M_lambda is the largest |X^lambda_rho| in row
+    lambda, and B/2 exceeds that bound, so the signed digits of each weighted
+    row and of sum_lambda x_lambda y_lambda h(lambda) row_lambda are exactly
+    what they stand for.
     """
     table = character_table(n)
     rows = table._rows
-    bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(_hook_weights(n), rows))
+    fact = factorial(n)
+    weights = [2 ** (n - lam.length) * fact // g(lam) for lam in table.strict]
+    bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(weights, rows))
     width = (bound.bit_length() + 8) // 8  # so that B/2 = 2^{8 b - 1} > bound
-    packed = tuple(_pack_rows(rows, width))
+    packed = tuple(h * row for h, row in zip(weights, _pack_rows(rows, width)))
     return width, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
 
 
@@ -164,11 +164,7 @@ def _spin_sums(sigma_t: tuple, tau_t: tuple, n: int) -> dict[tuple, int]:
     a = [row[i] for row in table._rows]
     b = [row[j] for row in table._rows]
     width, rows, keys = _packed_rows(n)
-    packed = sum(
-        h * x * y * row
-        for h, x, y, row in zip(_hook_weights(n), a, b, rows)
-        if x and y
-    )
+    packed = sum(x * y * row for x, y, row in zip(a, b, rows) if x and y)
     return {s: total for s, total in zip(keys, _unpack_row(packed, width, len(keys)))
             if total}
 
@@ -307,11 +303,7 @@ def structure_constants(
     Computed from integer spin-character sums (module docstring); ``cap``
     bounds |sigma| + |tau| and can be raised freely.
     """
-    total = sigma.size + tau.size
-    if total > cap:
-        raise ValueError(
-            f"|sigma| + |tau| = {total} exceeds the cap {cap}; raise cap= (--cap) to allow"
-        )
+    _check_cap("|sigma| + |tau|", sigma.size + tau.size, cap)
     records = [_record(sigma, tau, *term) for term in _terms(sigma, tau)]
     records.sort(key=lambda rec: term_sort_key(rec.rho))
     return records
@@ -375,10 +367,7 @@ def deg1_conjecture_scan(max_total: int, cap: int = LAB_CAP) -> ScanReport:
     """
     if max_total < 2:
         raise ValueError("max_total must be at least 2")
-    if max_total > cap:
-        raise ValueError(
-            f"max_total = {max_total} exceeds the cap {cap}; raise cap= (--cap) to allow"
-        )
+    _check_cap("max_total", max_total, cap)
     report = ScanReport(max_total=max_total)
     records, low, high = 0, None, None
     for sigma, tau, terms in _scan_pairs(max_total):
@@ -433,8 +422,7 @@ def p2_experiment(max_n: int, cap: int = P2_CAP) -> P2Report:
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6 to cover the reference table")
-    if max_n > cap:
-        raise ValueError(f"max_n = {max_n} exceeds the cap {cap}; raise cap= (--cap) to allow")
+    _check_cap("max_n", max_n, cap)
     p2 = OrdinaryPSumExpr.p(2)
     values = [(n, average_bruteforce(p2, n)) for n in range(0, max_n + 1)]
     by_n = dict(values)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 
 from .factorial import psi_iso, psi_iso_inverse
-from .gamma import GammaElement, SparseTerms, add_scaled
+from .gamma import GammaElement, SparseTerms
 from .partitions import OddPartition, StrictPartition, falling, g
 from .rational import Rat, rat
 from .schurq import character_table
@@ -79,8 +79,6 @@ def expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
 
 
 def assemble(expansion: FrakExpansion) -> GammaElement:
-    """Inverse of :func:`expand_gamma_in_frak`: substitute frak_p(rho)."""
-    out: dict[OddPartition, Rat] = {}
-    for rho, c in expansion.items():
-        add_scaled(out, frak_p(rho), c)
-    return GammaElement._wrap(out)
+    """Inverse of :func:`expand_gamma_in_frak`: sum c_rho frak_p(rho) =
+    Psi(sum c_rho p_rho), with Psi linear."""
+    return psi_iso(GammaElement._wrap(expansion._coeffs))

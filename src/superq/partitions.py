@@ -158,7 +158,6 @@ class OrdinaryPartition(_Partition):
 
 
 EMPTY_STRICT = StrictPartition(())
-EMPTY_ODD = OddPartition(())
 
 
 def term_sort_key(partition):

@@ -38,7 +38,7 @@ from .schurq import character_table, p_fn, q
 
 
 # One check's outcome; run_all fills in key and description from CHECKS.
-CheckResult = namedtuple("CheckResult", "key description ok detail", defaults=("",))
+CheckResult = namedtuple("CheckResult", "ok detail key description", defaults=("", ""))
 
 
 def _m1_free_partitions(max_size: int) -> list[OddPartition]:
@@ -64,7 +64,7 @@ def check_measure_normalization() -> CheckResult:
     for n in range(11):
         total = sum(prob(n, lam) for lam in enumerate_strict(n))
         if total != 1:
-            return CheckResult("1", "", False, f"sum P_{n} = {total}")
+            return CheckResult(False, f"sum P_{n} = {total}")
     expected = {
         (5,): rat(16, 120),
         (4, 1): rat(72, 120),
@@ -73,12 +73,12 @@ def check_measure_normalization() -> CheckResult:
     for parts, value in expected.items():
         got = prob(5, StrictPartition(parts))
         if got != value:
-            return CheckResult("1", "", False, f"P_5({parts}) = {got} != {value}")
-    return CheckResult("1", "", True, "sum P_n = 1 for n <= 10; P_5 values exact")
+            return CheckResult(False, f"P_5({parts}) = {got} != {value}")
+    return CheckResult(True, "sum P_n = 1 for n <= 10; P_5 values exact")
 
 
-def check_character_integrity(max_degree: int = 9) -> CheckResult:
-    for k in range(max_degree + 1):
+def check_character_integrity() -> CheckResult:
+    for k in range(10):  # degrees 0..9
         table = character_table(k)
         strict = table.strict
         # duality <P_lam, Q_mu> = delta
@@ -87,9 +87,7 @@ def check_character_integrity(max_degree: int = 9) -> CheckResult:
             for mu in strict:
                 want = 1 if lam == mu else 0
                 if scalar_product(plam, q(mu)) != want:
-                    return CheckResult(
-                        "2", "", False, f"duality fails at ({lam}, {mu})"
-                    )
+                    return CheckResult(False, f"duality fails at ({lam}, {mu})")
         # orthogonality sum_lam 2^{-l} X X = delta 2^{-l(rho)} z_rho
         for rho in table.odd:
             for sigma in table.odd:
@@ -101,21 +99,17 @@ def check_character_integrity(max_degree: int = 9) -> CheckResult:
                 )
                 want = rat(z(rho), 2**rho.length) if rho == sigma else rat(0)
                 if total != want:
-                    return CheckResult(
-                        "2", "", False, f"orthogonality fails at ({rho}, {sigma})"
-                    )
+                    return CheckResult(False, f"orthogonality fails at ({rho}, {sigma})")
         ones = OddPartition((1,) * k)
         for lam in strict:
             if table.value(lam, ones) != g(lam):
-                return CheckResult("2", "", False, f"X^{lam}_(1^k) != g at {lam}")
+                return CheckResult(False, f"X^{lam}_(1^k) != g at {lam}")
         if k >= 1:
             row = StrictPartition((k,))
             for rho in table.odd:
                 if table.value(row, rho) != 1:
-                    return CheckResult("2", "", False, f"X^(k)_{rho} != 1")
-    return CheckResult(
-        "2", "", True, f"duality, orthogonality, g- and one-row rows exact to degree {max_degree}"
-    )
+                    return CheckResult(False, f"X^(k)_{rho} != 1")
+    return CheckResult(True, "duality, orthogonality, g- and one-row rows exact to degree 9")
 
 
 def _closed_form_average_cases() -> list[tuple[str, GammaElement, PolynomialInN]]:
@@ -138,16 +132,12 @@ def check_polynomial_averages() -> CheckResult:
     for name, f, closed in _closed_form_average_cases():
         symbolic = average_symbolic_frak(f)
         if symbolic != closed:
-            return CheckResult(
-                "3", "", False, f"{name}: symbolic {symbolic} != paper {closed}"
-            )
+            return CheckResult(False, f"{name}: symbolic {symbolic} != paper {closed}")
         for n in range(10):
             brute = average_bruteforce(f, n)
             if brute != closed.evaluate(n):
-                return CheckResult(
-                    "3", "", False, f"{name}: brute force differs at n={n}"
-                )
-    return CheckResult("3", "", True, "six closed forms match brute force for n <= 9")
+                return CheckResult(False, f"{name}: brute force differs at n={n}")
+    return CheckResult(True, "six closed forms match brute force for n <= 9")
 
 
 GOLDEN_P_TO_FRAK = {
@@ -190,11 +180,11 @@ def check_golden_expansions() -> CheckResult:
         got = expand_p_in_frak(rho)
         want = FrakExpansion(expected)
         if got != want:
-            return CheckResult("4", "", False, f"expansion of p[{rho}] differs")
+            return CheckResult(False, f"expansion of p[{rho}] differs")
         # Psi^{-1} through the T-system against Psi through the s-system
         if assemble(got) != GammaElement.p(rho):
-            return CheckResult("4", "", False, f"reassembly of p[{rho}] differs")
-    return CheckResult("4", "", True, "all nine expansions coefficient-exact")
+            return CheckResult(False, f"reassembly of p[{rho}] differs")
+    return CheckResult(True, "all nine expansions coefficient-exact")
 
 
 def check_deformed_average_constants() -> CheckResult:
@@ -208,20 +198,13 @@ def check_deformed_average_constants() -> CheckResult:
                 brute = average_mu_bruteforce(element, mu, n)
                 if brute != expected:
                     return CheckResult(
-                        "5",
-                        "",
-                        False,
-                        f"E_mu,n[fp_{rho}] at mu={mu}, n={n}: {brute} != {expected}",
-                    )
+                        False, f"E_mu,n[fp_{rho}] at mu={mu}, n={n}: {brute} != {expected}")
             symbolic = average_mu_symbolic_frak(element, mu)
             if symbolic != PolynomialInN.constant(expected):
                 return CheckResult(
-                    "5", "", False, f"symbolic E_mu,n[fp_{rho}] not constant at mu={mu}"
-                )
+                    False, f"symbolic E_mu,n[fp_{rho}] not constant at mu={mu}")
     return CheckResult(
-        "5", "", True,
-        f"{len(mus)}x{len(rhos)} (mu, rho) pairs constant and equal to fp_rho(mu)",
-    )
+        True, f"{len(mus)}x{len(rhos)} (mu, rho) pairs constant and equal to fp_rho(mu)")
 
 
 def check_product_average_orthogonality() -> CheckResult:
@@ -233,18 +216,13 @@ def check_product_average_orthogonality() -> CheckResult:
                 product_average_closed_form(rho) if rho == sigma else PolynomialInN.zero()
             )
             if symbolic != closed:
-                return CheckResult(
-                    "6", "", False, f"symbolic E_n[fp_{rho} fp_{sigma}] != closed form"
-                )
+                return CheckResult(False, f"symbolic E_n[fp_{rho} fp_{sigma}] != closed form")
             product = frak_p(rho) * frak_p(sigma)
             for n in range(10):
                 if average_bruteforce(product, n) != closed.evaluate(n):
                     return CheckResult(
-                        "6", "", False, f"brute force differs at ({rho},{sigma}), n={n}"
-                    )
-    return CheckResult(
-        "6", "", True, "orthogonality of products exact for all m1-free pairs, n <= 9"
-    )
+                        False, f"brute force differs at ({rho},{sigma}), n={n}")
+    return CheckResult(True, "orthogonality of products exact for all m1-free pairs, n <= 9")
 
 
 def check_han_xiong_identity() -> CheckResult:
@@ -256,16 +234,13 @@ def check_han_xiong_identity() -> CheckResult:
                 {2: rat(1, 2), 1: rat(2 * m - 1, 2)}
             )  # n(n-1)/2 + n|mu|
             if average_mu_symbolic_frak(shifted, mu) != expected_poly:
-                return CheckResult("7", "", False, f"symbolic form differs at mu={mu}")
+                return CheckResult(False, f"symbolic form differs at mu={mu}")
             for n in range(8):
                 want = rat(n * (n - 1), 2) + n * m
                 if average_mu_bruteforce(shifted, mu, n) != want:
-                    return CheckResult(
-                        "7", "", False, f"value differs at mu={mu}, n={n}"
-                    )
+                    return CheckResult(False, f"value differs at mu={mu}, n={n}")
     return CheckResult(
-        "7", "", True, "E_mu,n[hatp1 - hatp1(mu)] = n(n-1)/2 + n|mu| for |mu| <= 5, n <= 7"
-    )
+        True, "E_mu,n[hatp1 - hatp1(mu)] = n(n-1)/2 + n|mu| for |mu| <= 5, n <= 7")
 
 
 def check_corner_functions() -> CheckResult:
@@ -277,24 +252,21 @@ def check_corner_functions() -> CheckResult:
     }
     for k, coeffs in expected.items():
         if psi(k) != GammaElement(coeffs):
-            return CheckResult("8", "", False, f"psi_{k} expansion differs")
+            return CheckResult(False, f"psi_{k} expansion differs")
     for k in range(1, 6):
         element = psi(k)
         for n in range(11):
             for lam in enumerate_strict(n):
                 if psi_direct(k, lam) != element.evaluate(lam):
-                    return CheckResult(
-                        "8", "", False, f"psi_{k} corner sum differs at {lam}"
-                    )
+                    return CheckResult(False, f"psi_{k} corner sum differs at {lam}")
     samples = _sample_strict(20)
     for lam in samples:
         if not phi_series_check(lam, 8):
-            return CheckResult("8", "", False, f"series identity fails at {lam}")
+            return CheckResult(False, f"series identity fails at {lam}")
     return CheckResult(
-        "8", "", True,
+        True,
         "psi_1..4 verbatim; corner sums match Gamma route (k <= 5, |lam| <= 10); "
-        "series identity to order 8 on 20 shapes",
-    )
+        "series identity to order 8 on 20 shapes")
 
 
 def check_p2_experiment() -> CheckResult:
@@ -304,50 +276,42 @@ def check_p2_experiment() -> CheckResult:
     table = dict(report.values)
     for n, want in expected.items():
         if table[n] != want:
-            return CheckResult("9", "", False, f"E_{n}[p2] = {table[n]} != {want}")
+            return CheckResult(False, f"E_{n}[p2] = {table[n]} != {want}")
     if not report.polynomial_fit_fails:
-        return CheckResult("9", "", False, "degree-2 fit unexpectedly matched")
+        return CheckResult(False, "degree-2 fit unexpectedly matched")
     first_bad = next((n, r) for n, r in report.residuals if r)
     return CheckResult(
-        "9", "", True,
-        f"table exact; degree-2 fit through n=1..3 off by {first_bad[1]} at n={first_bad[0]}",
-    )
+        True,
+        f"table exact; degree-2 fit through n=1..3 off by {first_bad[1]} at n={first_bad[0]}")
 
 
 def check_discrepancy_guard() -> CheckResult:
     f = hat_p(1) ** 2
     if average_bruteforce(f, 2) != 1 or average_bruteforce(f, 3) != 11:
-        return CheckResult("10", "", False, "brute-force anchor values differ")
+        return CheckResult(False, "brute-force anchor values differ")
     sec52 = PolynomialInN.from_binomial({4: 6, 3: 8, 2: 1})
     if average_symbolic_frak(f) != sec52:
-        return CheckResult("10", "", False, "symbolic form differs from section 5.2")
+        return CheckResult(False, "symbolic form differs from section 5.2")
     sec14 = PolynomialInN(
         {4: rat(1, 12), 3: rat(4, 12), 2: rat(-8, 12), 1: rat(-2, 12)}
     )
     if sec14.evaluate(2) == 1:
-        return CheckResult(
-            "10", "", False, "section 1.4 display unexpectedly matches brute force"
-        )
+        return CheckResult(False, "section 1.4 display unexpectedly matches brute force")
     return CheckResult(
-        "10", "", True,
+        True,
         "paper §1.4 display: suspected misprint, §5.2 confirmed "
-        "(E_2 = 1, E_3 = 11 by brute force)",
-    )
+        "(E_2 = 1, E_3 = 11 by brute force)")
 
 
 def check_conjecture_scan() -> CheckResult:
     report = deg1_conjecture_scan(8)
     if report.violations:
         worst = report.violations[0].to_json_obj()
-        return CheckResult(
-            "11", "", False,
-            f"COUNTEREXAMPLE FOUND (not a bug, publish it): {worst}",
-        )
+        return CheckResult(False, f"COUNTEREXAMPLE FOUND (not a bug, publish it): {worst}")
     return CheckResult(
-        "11", "", True,
+        True,
         f"no deg1 violations across {report.pairs_scanned} pairs "
-        f"({report.records_checked} records, min slack {report.min_slack})",
-    )
+        f"({report.records_checked} records, min slack {report.min_slack})")
 
 
 CHECKS: list[tuple[str, str, Callable[[], CheckResult]]] = [

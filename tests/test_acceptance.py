@@ -32,7 +32,7 @@ def test_criterion_01_measure_normalization():
 
 def test_criterion_02_character_table_integrity():
     _report(2, "duality + orthogonality + g/one-row rows to degree 9",
-            verify.check_character_integrity(max_degree=9))
+            verify.check_character_integrity())
 
 
 def test_criterion_03_polynomial_averages():

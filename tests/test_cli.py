@@ -15,11 +15,12 @@ from superq.gamma import GammaElement
 from superq.partitions import OddPartition, StrictPartition
 from superq.plancherel import PolynomialInN, average_bruteforce
 from superq.schurq import q
+from superq.verify import CHECKS
 
 # the benchmark's README commands and their golden stdout, read in place
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import cli_commands  # noqa: E402
-from spans import TRACED  # noqa: E402
+from spans import TRACED, VERIFY_CHECKS  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -510,3 +511,16 @@ def test_verify_all_pass(capsys):
     assert all(r["ok"] for r in results)
     misprint = [r for r in results if "misprint" in r["detail"]]
     assert misprint and "§5.2 confirmed" in misprint[0]["detail"]
+
+
+def test_verify_json_golden_bytes(capsys):
+    # every field, key and description included, in a fixed order
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_verify_checks_are_the_traced_checks():
+    # the tracer wraps the verify checks by this list of names
+    assert [fn.__name__ for _, _, fn in CHECKS] == VERIFY_CHECKS

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from superq.explorer import (
     structure_constants,
 )
 from superq.frakp import frak_p
-from superq.partitions import OddPartition, enumerate_odd, term_sort_key
+from superq.partitions import OddPartition, enumerate_odd, g, term_sort_key
 from superq.plancherel import PolynomialInN, product_average_check
 from superq.rational import rat
 from superq.schurq import character_table
@@ -187,7 +188,8 @@ def _spin_sums_by_dot_products(sigma_t, tau_t, n):
     columns = [list(column) for column in zip(*table._rows)]
     a = columns[table._col_of[sigma_t + (1,) * (n - sum(sigma_t))]]
     b = columns[table._col_of[tau_t + (1,) * (n - sum(tau_t))]]
-    weights = [h * x * y for h, x, y in zip(explorer._hook_weights(n), a, b)]
+    weights = [2 ** (n - lam.length) * factorial(n) // g(lam) * x * y
+               for lam, x, y in zip(table.strict, a, b)]
     sums = {}
     for rho, column in zip(table.odd, columns):
         total = sum(w * x for w, x in zip(weights, column))
