@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     except (ValueError, TypeError) as exc:
         message = str(exc)
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         message = f"input too large ({type(exc).__name__})"
     else:
         return result or 0

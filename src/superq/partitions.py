@@ -482,6 +482,8 @@ def g(lam: StrictPartition) -> int:
 
 def _g_parts(parts: tuple) -> int:
     # g on the parts of a strict partition, without building the partition.
+    if len(parts) <= 1:
+        return 1  # one row fills one way, however long
     numer = factorial(sum(parts))
     denom = 1
     for i, a in enumerate(parts):

@@ -8,16 +8,22 @@ monomial and binomial C(n, j) renderings are exact, invertible views.
 Brute-force averages run in integers.  f is written as (1/D) sum_mu a_mu p_mu
 with D the lcm of its coefficient denominators, and p_1, which is |lambda|
 on every shape summed over, is folded into the coefficients: a_mu p_mu
-becomes a_mu |lambda|^{m_1(mu)} p_{mu~}.  One walk over the strict
-partitions (``partitions._strict_walk``) grows g(lambda) and the power sums
-a part at a time, shared along prefixes; each lambda adds its integer
-measure weight (2^{n - l(lambda)} g(lambda)^2 for E_n) times
-sum_mu a_mu p_mu~(lambda) to an integer total, and the one rational
-division per call is by D * n! (by D * (n + m)! * g(mu) / m! for E_{mu,n},
-whose skew counts come from one forward sweep on bitmask keys,
-``skew_counts``, read by the walk through the same keys).  The oracles
-stay: in the tests, the per-lambda sums of ``prob`` (or ``prob_mu``) times
-``f.evaluate(lambda)``, and for the sweep the corner-removal recursion.
+becomes a_mu |lambda|^{m_1(mu)} p_{mu~}.  Since the average is linear in f,
+E_n[f] = sum_nu a_nu M(empty, n, nu) / (D * n!) over the ones-free monomials
+nu of the folded f, with the integer moment
+M(mu, n, nu) = sum over strict lambda of n + |mu| containing mu of
+w_mu(lambda) p_nu(lambda), where w(lambda) = 2^{n - l(lambda)} g(lambda)^2
+for E_n and 2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu} for E_{mu,n}
+(divided by D * (n + m)! * g(mu) / m!, m = |mu|).  The moments live in one
+dict for the life of the process, one int per (mu, n, nu), E_n stored as
+mu empty; a call walks only when it needs a nu that is missing, and then
+fills every missing nu of its size in one walk over the strict partitions
+(``partitions._strict_walk``), which grows g(lambda) and the power sums a
+part at a time, shared along prefixes.  The skew counts of E_{mu,n} come
+from one forward sweep on bitmask keys (``skew_counts``), read by the walk
+through the same keys.  The oracles stay: in the tests, the per-lambda sums
+of ``prob`` (or ``prob_mu``) times ``f.evaluate(lambda)``, and for the sweep
+the corner-removal recursion.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
@@ -29,7 +35,11 @@ All d + 2 nodes come from one walk over the strict partitions of sizes
 itself a shape of a smaller node: f is written in integers once per call,
 p_1 = n is folded in per node, and each shape adds to the total of its own
 size.  The skew counts of E_{mu,n} at every node come from one sweep that
-keeps each layer (``_skew_layers``).  One brute-force average per node,
+keeps each layer (``_skew_layers``).  These walks neither read nor fill the
+moments: through moments, each node would pay one multiply by the weight
+per monomial instead of one per shape, and nothing would be reused.  So a
+single n goes through moments and a range of nodes does not.  One
+brute-force average per node,
 kept in the tests, is the oracle of the one walk.
 
 The independent routes (``*_frak``) are the oracles for tests and ``superq
@@ -50,6 +60,7 @@ from .factorial import expand_in_pstar
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
 from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
+    EMPTY_STRICT,
     OddPartition,
     StrictPartition,
     _skew_layers,
@@ -307,38 +318,80 @@ def _mu_averages(denom: int, terms, mu: StrictPartition, lo: int, hi: int,
             for n, total in enumerate(totals, lo)]
 
 
+# (mu.parts, n, nu) -> M(mu, n, nu), the integer moment of the module
+# docstring; E_n is stored as mu = ().  Kept for the life of the process.
+_MOMENTS: dict[tuple[tuple, int, tuple], int] = {}
+
+
+def _moments(mu: StrictPartition, n: int, nus: list[tuple]) -> list[int]:
+    """[M(mu, n, nu) for nu in nus], with one walk that fills every nu
+    missing from ``_MOMENTS`` and none when all are there."""
+    missing = [nu for nu in nus if (mu.parts, n, nu) not in _MOMENTS]
+    if missing:
+        powers = tuple(sorted({r for nu in missing for r in nu}))
+        index = {r: i for i, r in enumerate(powers)}
+        rows = [[index[r] for r in nu] for nu in missing]
+        totals = [0] * len(rows)
+        m = mu.size
+        skews = _skew_masks(mu, n) if m else None
+        for _, mask, length, count, sums in _strict_walk(n + m, n + m, powers):
+            if skews is None:
+                weight = count * count << (n - length)
+            elif mask in skews:
+                weight = count * skews[mask] << (n + mu.length - length)
+            else:
+                continue
+            for j, row in enumerate(rows):
+                value = 1
+                for i in row:
+                    value *= sums[i]
+                totals[j] += weight * value
+        for nu, total in zip(missing, totals):
+            _MOMENTS[mu.parts, n, nu] = total
+    return [_MOMENTS[mu.parts, n, nu] for nu in nus]
+
+
+def _moment_total(f, mu: StrictPartition, n: int) -> tuple[int, int]:
+    # (D, sum_nu a_nu M(mu, n, nu)) over the folded integer form of f
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    denom, terms = _integer_form(f)
+    folded = _fold(terms, n + mu.size)
+    moments = _moments(mu, n, [nu for nu, _ in folded])
+    return denom, sum(a * moment for (_, a), moment in zip(folded, moments))
+
+
 def average_bruteforce(f, n: int) -> Rat:
     """E_n[f] summed over all strict partitions of n, in integers.
 
     f is a ``GammaElement`` or an ``OrdinaryPSumExpr`` (even parts allowed),
-    written as (1/D) sum_mu a_mu p_mu with integer a_mu, and p_1 = n folded
-    into the coefficients.  One walk over the strict partitions of n
-    (``partitions._strict_walk``) builds g(lambda) and the power sums a
-    part at a time, shared along prefixes; each lambda adds
-    2^{n - l(lambda)} g(lambda)^2 * sum_mu a_mu p_mu(lambda) to an integer
-    total, and the one division is by D * n!.  The per-lambda route
+    written as (1/D) sum_nu a_nu p_nu with integer a_nu, and p_1 = n folded
+    into the coefficients.  The total sum_nu a_nu M(empty, n, nu) reads the
+    integer moments M = sum_lambda 2^{n - l(lambda)} g(lambda)^2 p_nu(lambda),
+    and the one division is by D * n!.  The moments are kept for the life
+    of the process, one int per (empty, n, nu), so a walk over the strict
+    partitions of n (``partitions._strict_walk``) runs only for the nu that
+    no earlier call at n needed.  The per-lambda route
     sum_lambda prob(n, lambda) * f.evaluate(lambda) is the test oracle.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    denom, terms = _integer_form(f)
-    return _averages(denom, terms, n, n)[0]
+    denom, total = _moment_total(f, EMPTY_STRICT, n)
+    return rat(total, denom * factorial(n))
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     """E_{mu,n}[f] summed over all strict partitions of n + |mu|, in integers.
 
-    As ``average_bruteforce``, with p_1 = n + m folded in, the weight
-    2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu} and the one division by
-    D * (n + m)! * g(mu) / m!, m = |mu|.  The skew counts of every lambda
-    come from one forward sweep on bitmask keys (``skew_counts``), matched
-    to the walk by the same keys; the per-lambda route through ``prob_mu``
-    is the test oracle.
+    As ``average_bruteforce``, with p_1 = n + m folded in, the moments under
+    the weight 2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu}, kept one int
+    per (mu, n, nu) for the life of the process, and the one division by
+    D * (n + m)! * g(mu) / m!, m = |mu|.  A walk that fills missing moments
+    reads the skew counts of every lambda from one forward sweep on bitmask
+    keys (``skew_counts``), matched to the walk by the same keys.  The
+    per-lambda route through ``prob_mu`` is the test oracle.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    denom, terms = _integer_form(f)
-    return _mu_averages(denom, terms, mu, n, n, _skew_masks(mu, n))[0]
+    denom, total = _moment_total(f, mu, n)
+    m = mu.size
+    return rat(total * factorial(m), denom * factorial(n + m) * g(mu))
 
 
 def _require_gamma(f):

@@ -6,6 +6,7 @@ as a bare ``a`` when the denominator is 1.
 """
 
 import re
+import sys
 from fractions import Fraction as Rat
 
 BACKEND = "fractions"
@@ -24,8 +25,19 @@ def rat(value, den=None):
 
 
 def rat_str(q) -> str:
-    """Canonical rendering: ``a/b`` with b > 0, plain ``a`` when b == 1."""
-    return str(q)
+    """Canonical rendering: ``a/b`` with b > 0, plain ``a`` when b == 1.
+
+    A value whose numerator or denominator has more decimal digits than the
+    interpreter converts to a string (``sys.get_int_max_str_digits``) raises
+    ValueError saying so; the limit itself is left as it is.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            "the value has more decimal digits than this Python interpreter "
+            f"will print (its limit is {limit} digits per integer)") from None
 
 
 def parse_rat(text: str):

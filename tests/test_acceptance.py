@@ -180,3 +180,13 @@ def test_every_check_can_fail(monkeypatch, check, module, route, breakage):
     assert result.detail
     if check == "check_conjecture_scan":
         assert result.detail.startswith("COUNTEREXAMPLE FOUND")
+
+
+def test_polynomial_averages_reach_n_9(monkeypatch):
+    # brute force wrong only at the last n the detail names
+    right = verify.average_bruteforce
+    monkeypatch.setattr(verify, "average_bruteforce",
+                        lambda f, n: right(f, n) + (n == 9))
+    result = verify.check_polynomial_averages()
+    assert result.ok is False
+    assert result.detail.endswith("brute force differs at n=9")

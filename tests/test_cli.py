@@ -228,6 +228,24 @@ def test_too_large_input_is_a_domain_error():
     assert message == "input too large (RecursionError)"
 
 
+def test_g_of_one_huge_row_is_1(capsys):
+    # one part fills one way, so no factorial of 10^20 is taken
+    code, out, _ = run(capsys, "g", "99999999999999999999")
+    assert (code, out) == (0, "1\n")
+
+
+def test_g_past_the_factorial_range_is_a_domain_error():
+    message = assert_domain_error_in_subprocess("g", "99999999999999999999,1")
+    assert message == "input too large (OverflowError)"
+
+
+def test_psi_past_the_digit_limit_is_a_domain_error():
+    message = assert_domain_error_in_subprocess("psi", "10000", "--lambda", "3,1")
+    assert message.startswith("the value has more decimal digits than")
+    assert f"limit is {sys.get_int_max_str_digits()} digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
 def test_content_hatp_60_is_quick():
     start = time.perf_counter()
     proc = superq_in_subprocess("content", "hatp", "60")

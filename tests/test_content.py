@@ -12,6 +12,7 @@ from recursive_oracle import (
     oracle_hat_p,
     oracle_phi_series_check,
 )
+from superq import content
 from superq.content import (
     EvenPolynomial,
     OrdinaryPSumExpr,
@@ -250,6 +251,21 @@ def test_phi_series_check_matches_the_exp_route():
                         == oracle_phi_series_check(lam, order))
     lam = StrictPartition((5, 4, 2))
     assert phi_series_check(lam, 40) == oracle_phi_series_check(lam, 40)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 8])
+def test_phi_series_check_reads_every_order(monkeypatch, order):
+    # psi_direct wrong only at k = order: the check must reach that order
+    right = content.psi_direct
+
+    def wrong_at_order(k, lam):
+        return right(k, lam) + (k == order)
+
+    monkeypatch.setattr(content, "psi_direct", wrong_at_order)
+    lam = StrictPartition((5, 4, 2))
+    assert phi_series_check(lam, order) is False
+    if order > 1:
+        assert phi_series_check(lam, order - 1)
 
 
 def test_phi_series_check_sample():

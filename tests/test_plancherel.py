@@ -19,6 +19,7 @@ from superq.frakp import (
     frak_p_eval,
 )
 from superq.gamma import GammaElement
+from superq import plancherel
 from superq.partitions import (
     OddPartition,
     StrictPartition,
@@ -273,6 +274,84 @@ def test_bruteforce_rejects_other_objects():
                 call()
             assert len(str(exc.value).splitlines()) == 1
             assert "GammaElement or an OrdinaryPSumExpr" in str(exc.value)
+
+
+@given(st.one_of(gamma_big(), ordinary_exprs()),
+       strat.strict_partitions(max_size=4), st.integers(0, 10), st.booleans())
+@example(GammaElement.term((3,), 1), StrictPartition((2, 1)), 3, False)
+def test_moments_equal_the_oracle_cold_and_warm(f, mu, n, mu_first):
+    # E_n at n + |mu| and at n, and E_{mu,n}, in one process, with E_{mu,n}
+    # first or last, from an empty memo and then again from the warm one
+    want = [oracle_average(f, n + mu.size), oracle_average(f, n),
+            oracle_average_mu(f, mu, n)]
+    calls = [lambda: average_bruteforce(f, n + mu.size),
+             lambda: average_bruteforce(f, n),
+             lambda: average_mu_bruteforce(f, mu, n)]
+    order = [2, 0, 1] if mu_first else [0, 1, 2]
+    plancherel._MOMENTS.clear()
+    for _ in ("cold", "warm"):
+        for i in order:
+            assert calls[i]() == want[i]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The (lo, hi, powers) of every _strict_walk, from an empty memo."""
+    monkeypatch.setattr(plancherel, "_MOMENTS", {})
+    seen = []
+    walk = plancherel._strict_walk
+
+    def counted(lo, hi, powers):
+        seen.append((lo, hi, powers))
+        return walk(lo, hi, powers)
+
+    monkeypatch.setattr(plancherel, "_strict_walk", counted)
+    return seen
+
+
+def test_a_repeated_call_walks_nothing(walks):
+    f = p(3) ** 2 + 5 * p((5, 1))
+    mu = StrictPartition((2, 1))
+    first = average_bruteforce(f, 14), average_mu_bruteforce(f, mu, 11)
+    assert len(walks) == 2
+    assert (average_bruteforce(f, 14), average_mu_bruteforce(f, mu, 11)) == first
+    assert len(walks) == 2
+
+
+def test_a_new_monomial_at_a_known_size_walks_once(walks):
+    average_bruteforce(p(3) + p(1), 14)
+    assert walks == [(14, 14, (3,))]
+    # () and p_3 are known: one walk, for p_5 p_3 alone
+    average_bruteforce(p(5) * p(3) - 2 * p(3), 14)
+    assert walks[1:] == [(14, 14, (3, 5))]
+    average_bruteforce(p(5) * p(3) + p((1, 1)), 14)
+    assert len(walks) == 2
+    # the same nu at another n, or under a mu, is another moment
+    average_bruteforce(p(3), 13)
+    average_mu_bruteforce(p(3), StrictPartition((1,)), 13)
+    assert walks[2:] == [(13, 13, (3,)), (14, 14, (3,))]
+
+
+def test_the_zero_element_walks_nothing(walks):
+    mu = StrictPartition((2, 1))
+    assert average_bruteforce(GammaElement.zero(), 9) == 0
+    assert average_mu_bruteforce(GammaElement.zero(), mu, 9) == 0
+    # p_{1,1} - 2 p_1 folds to 0 at n = 2
+    assert average_bruteforce(GammaElement({(1, 1): 1, (1,): -2}), 2) == 0
+    assert walks == []
+
+
+def test_bad_calls_walk_nothing(walks):
+    mu = StrictPartition((1,))
+    for call in (lambda: average_bruteforce(p(3), -1),
+                 lambda: average_mu_bruteforce(p(3), mu, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+    for call in (lambda: average_bruteforce(3, 4),
+                 lambda: average_mu_bruteforce(None, mu, 4)):
+        with pytest.raises(TypeError):
+            call()
+    assert walks == []
 
 
 # --- symbolic averages -------------------------------------------------------------------
