@@ -94,10 +94,7 @@ def p_star(mu: StrictPartition) -> GammaElement:
 
 def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
     """Closed form P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu}/g^lambda."""
-    skew = g_skew(lam, mu)
-    if skew == 0:
-        return rat(0)
-    return rat(falling(lam.size, mu.size) * skew, g(lam))
+    return rat(falling(lam.size, mu.size) * g_skew(lam, mu), g(lam))
 
 
 def psi_iso(f: GammaElement) -> GammaElement:

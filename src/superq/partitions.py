@@ -385,16 +385,9 @@ def _mask_parts(mask: int) -> tuple:
     return tuple(p for p in range(mask.bit_length() - 1, 0, -1) if mask >> p & 1)
 
 
-def _skew_masks(mu: StrictPartition, n: int) -> dict[int, int]:
-    """g^{lam/mu} for every strict lam of size |mu| + n that contains mu,
-    keyed by _mask(lam)."""
-    for layer in _skew_layers(mu, n):
-        pass
-    return layer
-
-
 def _skew_layers(mu: StrictPartition, n: int):
-    """``_skew_masks(mu, j)`` for j = 0..n, in order, from one sweep."""
+    """For j = 0..n in order, from one sweep: g^{lam/mu} for every strict
+    lam of size |mu| + j that contains mu, keyed by _mask(lam)."""
     layer = {_mask(mu.parts): 1}
     yield layer
     for _ in range(n):
@@ -426,7 +419,9 @@ def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
     corner-removal recursion is the test oracle, and ``g`` (the hook
     formula) is the check for mu empty.
     """
-    return {_mask_parts(mask): count for mask, count in _skew_masks(mu, n).items()}
+    for layer in _skew_layers(mu, n):
+        pass
+    return {_mask_parts(mask): count for mask, count in layer.items()}
 
 
 def _strict_walk(lo: int, hi: int, powers: tuple):

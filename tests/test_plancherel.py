@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,6 +27,7 @@ from superq.partitions import (
     enumerate_odd,
     enumerate_strict,
     falling,
+    g,
 )
 from superq.plancherel import (
     PolynomialInN,
@@ -148,6 +150,7 @@ def test_prob_mu_examples():
 def test_prob_mu_vanishes_without_containment():
     mu = StrictPartition((3,))
     lam = StrictPartition((2, 1))  # size 3 = 0 + |mu|, no containment
+    # this case needs prob_mu's skew == 0 return: 2 ** (0 - 2 + 1) is a float
     assert prob_mu(mu, 0, lam) == 0
 
 
@@ -352,6 +355,29 @@ def test_bad_calls_walk_nothing(walks):
         with pytest.raises(TypeError):
             call()
     assert walks == []
+
+
+def test_weighted_shapes_yield_each_shape_once_with_its_weight():
+    # the weight is prob_mu(mu, n, lambda) (n + m)! g(mu) / m!, prob at mu
+    # empty; power sums p_1..p_4 tell apart the strict partitions of n <= 11
+    powers = (1, 2, 3, 4, 7)
+    for m in range(4):
+        for mu in enumerate_strict(m):
+            want = {}
+            for n in range(9):
+                want[n] = []
+                for lam in enumerate_strict(n + m):
+                    chance = prob_mu(mu, n, lam) if m else prob(n, lam)
+                    if chance:
+                        weight = chance * factorial(n + m) * g(mu) / factorial(m)
+                        sums = tuple(sum(part**r for part in lam.parts) for r in powers)
+                        want[n].append((n, weight, sums))
+                assert want[n]
+            for lo, hi in [(n, n) for n in range(9)] + [(0, 8), (3, 6)]:
+                got = list(plancherel._weighted_shapes(mu, lo, hi, powers))
+                assert all(type(weight) is int for _, weight, _ in got)
+                assert sorted(got) == sorted(s for n in range(lo, hi + 1)
+                                             for s in want[n]), (mu, lo, hi)
 
 
 # --- symbolic averages -------------------------------------------------------------------

@@ -212,6 +212,22 @@ def test_bounds_past_eight_bytes_pick_sixteen_byte_digits():
     assert _digit_width(2**127) == 17
 
 
+def test_digit_width_is_the_fewest_bytes_that_hold_the_bound():
+    # the bound 2 l(lambda) max |X^mu_rho'| of the module docstring, read from
+    # the suffix rows of the sub-tables; at k = 25 only the factor 2 makes it
+    # need 8-byte digits, since every entry of table 25 fits in 4 bytes
+    for k in range(1, 27):
+        table = character_table(k)
+        entries = []
+        for r in {rho.parts[0] for rho in table.odd}:
+            size = sum(1 for rho in table.odd if rho.parts[0] == r)
+            entries += [x for row in character_table(k - r)._rows
+                        for x in row[len(row) - size:]]
+        bound = 2 * max(lam.length for lam in table.strict) * max(map(abs, entries))
+        width = min(w for w in (1, 2, 4, 8) if 2 ** (8 * w - 1) > bound)
+        assert {row.itemsize for row in table._rows} == {width}, k
+
+
 def test_character_table_checks_its_degree():
     with pytest.raises(ValueError, match="k must be nonnegative"):
         character_table(-1)
