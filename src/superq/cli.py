@@ -350,9 +350,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 PRETTY):
         p.add_argument("partition")
         p.add_argument("--cap", type=ascii_int, default=30,
-                       help="largest |mu| allowed (default %(default)s: about 0.7 s "
-                            "for the costliest mu tried; each 2 added to |mu| "
-                            "multiplies that by about 1.5)")
+                       help="largest |mu| allowed (default %(default)s: about 0.1 s "
+                            "for every mu of that size; each 2 added to |mu| "
+                            "multiplies that by about 1.3)")
 
     if p := add("pstar-eval", cmd_pstar_eval, "closed-form value P*_mu(lambda)"):
         p.add_argument("mu")

@@ -11,22 +11,26 @@ the first kind:
 
     P*_mu = sum_j sign(j) s(mu_1, j_1) ... s(mu_l, j_l) P_{sort j}.
 
-``p_star`` is the s-system applied to the P-functions; ``expand_in_pstar``,
-the T-system applied to the P-coefficients, gives the b with
-f = sum_mu b_mu P*_mu, and ``psi_iso_inverse(f)`` is sum_mu b_mu P_mu.
-The closed-form evaluation P*_mu(lambda) = |lambda|^{falling |mu|}
-g^{lambda/mu} / g^lambda is the independent route that pins P*_mu down.
+Both are integer sweeps (``_exterior_power``): one part at a time, on
+bitmasks of the indices used so far, where a used index vanishes and a new
+index j passes one inversion per used index below it; ``normalize_index``
+is their test oracle.  ``p_star`` is the s-system, ``psi_iso`` the s-system
+on the P-coefficients of f, and ``expand_in_pstar`` the T-system on them,
+the b with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` = sum_mu b_mu P_mu.
+The three go back to the p-basis by one row sum, ``schurq._combine_P``.
+The closed form P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} /
+g^lambda is the independent route that pins P*_mu down.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import cache
 
-from .gamma import GammaElement, add_into, add_scaled
+from .gamma import GammaElement, add_into
 from .partitions import (
     StrictPartition,
+    _mask_parts,
     _stirling1_row,
     _stirling2_row,
     falling,
@@ -34,7 +38,7 @@ from .partitions import (
     g_skew,
 )
 from .rational import Rat, rat
-from .schurq import expand_in_P, p_fn
+from .schurq import _combine_P, expand_in_P
 
 
 class SignedIndex(namedtuple("SignedIndex", "partition sign")):
@@ -51,30 +55,26 @@ def normalize_index(js) -> SignedIndex:
         raise ValueError(f"index entries must be positive, got {js}")
     if len(set(js)) != len(js):
         return SignedIndex(None, 0)
-    inversions = sum(
-        1
-        for s in range(len(js))
-        for t in range(s + 1, len(js))
-        if js[s] < js[t]
-    )
+    inversions = sum(js[s] < js[t] for s in range(len(js)) for t in range(s + 1, len(js)))
     mu = StrictPartition(sorted(js, reverse=True))
     return SignedIndex(mu, -1 if inversions % 2 else 1)
 
 
 def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition, int]:
-    # Column lam of the l-th exterior power of the unitriangular matrix whose
-    # row k is stirling_row(k): sum_j sign(j) prod_i row(lam_i)[j_i] e_{sort j}.
-    acc: dict[StrictPartition, int] = {}
-    rows = [stirling_row(part) for part in lam.parts]
-    for js in itertools.product(*(range(1, part + 1) for part in lam.parts)):
-        idx = normalize_index(js)
-        if idx.sign == 0:
-            continue
-        weight = idx.sign
-        for row, j in zip(rows, js):
-            weight *= row[j]
-        add_into(acc, idx.partition, weight)
-    return acc
+    # Column lam of the exterior power of the matrix of rows stirling_row(k):
+    # sum_j sign(j) prod_i row(lam_i)[j_i] e_{sort j}, by the sweep above.
+    layer = {0: 1}
+    for part in lam.parts:
+        row = stirling_row(part)
+        grown: dict[int, int] = {}
+        for mask, weight in layer.items():
+            for j in range(1, part + 1):
+                bit = 1 << j
+                if not mask & bit:
+                    sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+                    add_into(grown, mask | bit, sign * weight * row[j])
+        layer = grown
+    return {StrictPartition._trusted(_mask_parts(mask)): w for mask, w in layer.items()}
 
 
 @cache
@@ -86,10 +86,7 @@ def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
 @cache
 def p_star(mu: StrictPartition) -> GammaElement:
     """P*_mu in the p-basis, from its P-coefficients (the s-system)."""
-    out: dict = {}
-    for nu, c in _exterior_power(mu, _stirling1_row).items():
-        add_scaled(out, p_fn(nu), c)
-    return GammaElement._wrap(out)
+    return _combine_P(_exterior_power(mu, _stirling1_row))
 
 
 def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
@@ -97,27 +94,26 @@ def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
     return rat(falling(lam.size, mu.size) * g_skew(lam, mu), g(lam))
 
 
-def psi_iso(f: GammaElement) -> GammaElement:
-    """The linear isomorphism sending each P_lambda to P*_lambda."""
+def _through(system, f: GammaElement) -> dict[StrictPartition, Rat]:
+    # sum_lambda c_lambda system(lambda) over the P-coefficients c_lambda of f
     out: dict = {}
     for lam, c in expand_in_P(f).items():
-        add_scaled(out, p_star(lam), c)
-    return GammaElement._wrap(out)
+        for mu, t in system(lam).items():
+            add_into(out, mu, c * t)
+    return out
+
+
+def psi_iso(f: GammaElement) -> GammaElement:
+    """The linear isomorphism sending each P_lambda to P*_lambda."""
+    return _combine_P(_through(lambda lam: _exterior_power(lam, _stirling1_row), f))
 
 
 def expand_in_pstar(f: GammaElement) -> dict[StrictPartition, Rat]:
     """The b with f = sum_mu b_mu P*_mu: the T-system applied to the
     P-coefficients of f, since P_nu = sum_mu T_{nu,mu} P*_mu."""
-    coeffs: dict = {}
-    for nu, c in expand_in_P(f).items():
-        for mu, t in p_to_pstar_coeffs(nu).items():
-            add_into(coeffs, mu, c * t)
-    return coeffs
+    return _through(p_to_pstar_coeffs, f)
 
 
 def psi_iso_inverse(f: GammaElement) -> GammaElement:
     """The inverse isomorphism: f = sum_mu b_mu P*_mu maps to sum_mu b_mu P_mu."""
-    out: dict = {}
-    for mu, b in expand_in_pstar(f).items():
-        add_scaled(out, p_fn(mu), b)
-    return GammaElement._wrap(out)
+    return _combine_P(expand_in_pstar(f))

@@ -53,21 +53,23 @@ of those suffices.  Of tables 1..30, only table 25 gets its width from the
 factor 2: its bound 2 * 6 * 232,973,440 = 2,795,681,280 needs 8-byte digits,
 while its largest entry, 749,892,000, fits in 4 bytes.  Digits are two's
 complement: rows of 1-, 2-, 4- and 8-byte digits are written and read by
-``array``, rows of 16-byte digits
-(from table 41 on) by two 8-byte ``array``s, an unsigned low word and a
-signed high word, and wider ones entry by entry by ``int.to_bytes`` and
-``int.from_bytes``.  Reading a packed row adds
-2^{8 b - 1} to every digit, which makes each digit nonnegative, and flips
-those bits back by one XOR, which leaves the bytes of the two's-complement
-digits; writing a row undoes both.
+``array``, rows of 16-byte digits (from table 41 on) by two 8-byte
+``array``s, an unsigned low word and a signed high word, and wider ones
+entry by entry by ``int.to_bytes`` and ``int.from_bytes``.  Reading a
+packed row adds 2^{8 b - 1} to every digit, which makes each digit
+nonnegative, and flips those bits back by one XOR, which leaves the bytes
+of the two's-complement digits; writing a row undoes both.
 
 Each table keeps its rows as they are decoded, one per lambda, and nothing
 else: there is no rational copy and no column copy.  ``CharacterTable.value``
-turns one entry into a rational as it reads it, and the code that sweeps a
-table (``q``, ``expand_in_P``, ``rows``) reads the integers straight from
-the rows.  Q_lambda is read off its row of the table, Q_lambda = sum_rho
-2^{l(rho)} z_rho^{-1} X^lambda_rho p_rho, and X = <p_rho, Q_lambda> is kept
-as the scalar-product view of the same values.
+turns one entry into a rational as it reads it, and ``rows`` does so row by
+row.  The two basis changes read the integers straight from the rows, in
+the two directions of P_lambda = sum_rho 2^{l(rho) - l(lambda)} z_rho^{-1}
+X^lambda_rho p_rho: ``expand_in_P`` finds the P-coefficients of f by one
+integer column sum per lambda, and ``_combine_P`` writes sum_lambda c_lambda
+P_lambda in the p-basis by one integer row sum per degree.  ``q``,
+``factorial.p_star`` and both directions of Psi go through the latter.
+X = <p_rho, Q_lambda> is kept as the scalar-product view of the same values.
 """
 
 from __future__ import annotations
@@ -171,12 +173,8 @@ def _unpack_row(packed: int, width: int, count: int):
 
 @cache
 def q(lam: StrictPartition) -> GammaElement:
-    """The Schur Q-function Q_lambda in the p-basis, read off its table row."""
-    table = character_table(lam.size)
-    row = table._rows[table._row_of[_mask(lam.parts)]]
-    return GammaElement(
-        (rho, rat(2**rho.length * x, z(rho))) for rho, x in zip(table.odd, row) if x
-    )
+    """The Schur Q-function Q_lambda = 2^{l(lambda)} P_lambda in the p-basis."""
+    return _combine_P({lam: 2**lam.length})
 
 
 def p_fn(lam: StrictPartition) -> GammaElement:
@@ -334,3 +332,27 @@ def expand_in_P(f: GammaElement) -> dict[StrictPartition, Rat]:
             if total:
                 out[lam] = rat(total, denom)
     return out
+
+
+def _combine_P(coeffs: dict) -> GammaElement:
+    """sum_lambda c_lambda P_lambda in the p-basis, the transpose of
+    ``expand_in_P``.  Per degree, with D the common denominator of the
+    c_lambda / 2^{l(lambda)}, the integer sum total = sum_lambda D c_lambda /
+    2^{l(lambda)} row_lambda over the rows of the table gives each
+    coefficient once, as 2^{l(rho)} total_rho / (z_rho D)."""
+    by_degree: dict[int, dict] = {}
+    for lam, c in coeffs.items():
+        by_degree.setdefault(lam.size, {})[lam] = rat(c, 1 << lam.length)
+    out = {}
+    for d, weights in by_degree.items():
+        table = character_table(d)
+        denom = lcm(*(c.denominator for c in weights.values()))
+        total = [0] * len(table.odd)
+        for lam, c in weights.items():
+            row = table._rows[table._row_of[_mask(lam.parts)]]
+            w = c.numerator * (denom // c.denominator)
+            total = [t + w * x for t, x in zip(total, row)]
+        for rho, t in zip(table.odd, total):
+            if t:
+                out[rho] = rat(t << rho.length, z(rho) * denom)
+    return GammaElement._wrap(out)

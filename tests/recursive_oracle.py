@@ -1,6 +1,7 @@
 """Slow routes kept as test oracles of the closed forms and sweeps in
 superq: g^{lambda/mu} by corner removal, P*_mu by unitriangular inversion
-of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, hat_p(k)
+of the Stirling system P_lambda = sum_nu T_{lambda,nu} P*_nu, the exterior
+powers of the Stirling matrices by a walk over all index tuples, hat_p(k)
 by the unitriangular system of the telescoping identity
 p_{2k+1}(lambda) = sum_box [(c+1)^{2k+1} - c^{2k+1}], the frak-p
 expansion of an element by peeling its top-degree terms, the Han-Xiong
@@ -9,13 +10,14 @@ the columns of the character tables by bar removal, one per-lambda sum for
 each column, and the three partition enumerations by descent on the
 largest part."""
 
+import itertools
 from functools import cache
 from math import comb, factorial
 
 from superq.content import EvenPolynomial, psi_direct, rewrite_XY
-from superq.factorial import p_to_pstar_coeffs
+from superq.factorial import normalize_index, p_to_pstar_coeffs
 from superq.frakp import FrakExpansion, frak_p
-from superq.gamma import GammaElement, add_scaled
+from superq.gamma import GammaElement, add_into, add_scaled
 from superq.partitions import (
     StrictPartition,
     contains,
@@ -74,6 +76,23 @@ def oracle_g_skew(lam: StrictPartition, mu: StrictPartition) -> int:
     return sum(oracle_g_skew(smaller, mu)
                for smaller in (remove_cell(lam, cell) for cell in outer_corners(lam))
                if contains(smaller, mu))
+
+
+def oracle_exterior_power(lam: StrictPartition, stirling_row) -> dict:
+    """Column lam of the l-th exterior power of the matrix whose row k is
+    stirling_row(k): sum over every index tuple j with 1 <= j_i <= lam_i of
+    sign(j) prod_i row(lam_i)[j_i] e_{sort j}, a tuple with repeats vanishing."""
+    acc: dict = {}
+    rows = [stirling_row(part) for part in lam.parts]
+    for js in itertools.product(*(range(1, part + 1) for part in lam.parts)):
+        idx = normalize_index(js)
+        if idx.sign == 0:
+            continue
+        weight = idx.sign
+        for row, j in zip(rows, js):
+            weight *= row[j]
+        add_into(acc, idx.partition, weight)
+    return acc
 
 
 @cache

@@ -480,6 +480,18 @@ def test_cli_goldens(capsys, slug, argv):
     assert out.encode("utf-8") == cli_commands.read_golden(slug)
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("pstar-9-7-4-2.out", ["pstar", "9,7,4,2"]),
+    ("frak-expand-p-9-7-5-1-1.out", ["frak", "expand-p", "9,7,5,1,1"]),
+])
+def test_cli_goldens_through_psi_at_degree_22_and_23(capsys, name, argv):
+    # large enough that a sign or a factor 2 slip in Psi or Psi^{-1} shows
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / name
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_cli_import_skips_typing_and_dataclasses():
     # start-up cost: `import superq.cli` loads neither module, and so not
     # inspect, but loads every module whose functions the benchmark traces

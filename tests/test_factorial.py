@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
-from recursive_oracle import oracle_p_star
+from recursive_oracle import oracle_exterior_power, oracle_p_star
 from superq.factorial import (
+    _exterior_power,
     normalize_index,
     p_star,
     p_star_eval,
@@ -11,10 +12,15 @@ from superq.factorial import (
     psi_iso,
     psi_iso_inverse,
 )
-from superq.gamma import GammaElement
-from superq.partitions import StrictPartition, enumerate_strict
+from superq.gamma import GammaElement, SparseTerms, add_scaled
+from superq.partitions import (
+    StrictPartition,
+    _stirling1_row,
+    _stirling2_row,
+    enumerate_strict,
+)
 from superq.rational import rat
-from superq.schurq import p_fn
+from superq.schurq import character_table, p_fn
 
 p = GammaElement.p
 
@@ -30,6 +36,14 @@ def test_normalize_index_examples():
     assert (mu, sign) == (StrictPartition((3, 2, 1)), -1)  # odd permutation
     with pytest.raises(ValueError):
         normalize_index((0, 1))
+
+
+def test_sweep_equals_the_walk_over_index_tuples():
+    shapes = [lam for n in range(17) for lam in enumerate_strict(n)]
+    shapes += [StrictPartition((9, 8, 7, 6, 5, 4, 3)), StrictPartition((12, 10, 8, 6, 4, 2))]
+    for lam in shapes:
+        for row in (_stirling1_row, _stirling2_row):
+            assert _exterior_power(lam, row) == oracle_exterior_power(lam, row), lam
 
 
 def test_forward_expansion_is_unitriangular():
@@ -60,6 +74,53 @@ def test_p_star_equals_recursive_inversion():
     for m in range(11):
         for mu in enumerate_strict(m):
             assert p_star(mu) == oracle_p_star(mu)
+
+
+def test_p_star_equals_the_sum_of_p_fn_over_the_s_system():
+    # the row combination against one Rat term of P_nu at a time
+    for m in range(17):
+        for mu in enumerate_strict(m):
+            out: dict = {}
+            for nu, s in oracle_exterior_power(mu, _stirling1_row).items():
+                add_scaled(out, p_fn(nu), s)
+            assert p_star(mu) == GammaElement._wrap(out), mu
+
+
+def _count_sparse_terms(monkeypatch):
+    # the number of SparseTerms built, by __init__ or by _wrap, from now on
+    built = [0]
+    init, wrap = SparseTerms.__init__, SparseTerms._wrap.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_wrap(cls, coeffs):
+        built[0] += 1
+        return wrap(cls, coeffs)
+
+    monkeypatch.setattr(SparseTerms, "__init__", counted_init)
+    monkeypatch.setattr(SparseTerms, "_wrap", classmethod(counted_wrap))
+    return built
+
+
+def test_psi_and_p_star_build_no_element_per_term(monkeypatch):
+    # with tables warm, each builds one element per degree of its input, from
+    # expand_in_P's homogeneous_split, and its result
+    f = p(3) ** 6 * p(5)
+    for k in range(f.degree() + 1):
+        character_table(k)
+    image = psi_iso(f)
+    bounds = [len(f.homogeneous_split()) + 1, len(image.homogeneous_split()) + 1, 1]
+    p_star.cache_clear()
+    built = _count_sparse_terms(monkeypatch)
+    counts = []
+    for call, arg in [(psi_iso, f), (psi_iso_inverse, image),
+                      (p_star, StrictPartition((9, 7, 4, 2)))]:
+        built[0] = 0
+        call(arg)
+        counts.append(built[0])
+    assert all(c <= b for c, b in zip(counts, bounds)), (counts, bounds)
 
 
 def test_p_star_eval_examples():

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
 from recursive_oracle import _all_bars, _bars, oracle_columns
-from superq.gamma import GammaElement, scalar_product
+from superq.gamma import GammaElement, add_scaled, scalar_product
 from superq.partitions import (
     OddPartition,
     StrictPartition,
@@ -24,6 +24,7 @@ from superq.partitions import (
 )
 from superq.rational import rat, is_integral
 from superq.schurq import (
+    _combine_P,
     _digit_width,
     _pack_rows,
     _unpack_row,
@@ -333,3 +334,30 @@ def test_expand_in_P_equals_the_sum_of_table_values():
                 want[lam] = total
     assert expand_in_P(f) == want
     assert expand_in_P(GammaElement.zero()) == {}
+
+
+def test_row_combination_gives_each_P_entry_by_entry():
+    # P_lambda = sum_rho 2^{l(rho) - l(lambda)} z_rho^{-1} X^lambda_rho p_rho,
+    # one table entry at a time
+    for n in range(13):
+        for lam in enumerate_strict(n):
+            p_lam = GammaElement(
+                {rho: rat(2**rho.length * character(lam, rho), 2**lam.length * z(rho))
+                 for rho in enumerate_odd(n)})
+            assert _combine_P({lam: 1}) == p_lam == p_fn(lam)
+            assert _combine_P({lam: rat(-3, 7)}) == rat(-3, 7) * p_lam
+
+
+@given(st.dictionaries(
+    st.sampled_from([lam for n in (0, 3, 5, 8, 11, 12) for lam in enumerate_strict(n)]),
+    st.builds(rat, st.integers(-40, 40).filter(bool), st.integers(1, 24)),
+    max_size=8))
+def test_row_combination_is_the_sum_of_P_and_inverts_expand_in_P(coeffs):
+    # several degrees at once, fractional coefficients of any 2-adic valuation,
+    # against the sum of P_lambda one Rat term at a time
+    out: dict = {}
+    for lam, c in coeffs.items():
+        add_scaled(out, p_fn(lam), c)
+    combined = _combine_P(coeffs)
+    assert combined == GammaElement._wrap(out)
+    assert expand_in_P(combined) == coeffs
