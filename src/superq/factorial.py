@@ -55,7 +55,12 @@ def normalize_index(js) -> SignedIndex:
         raise ValueError(f"index entries must be positive, got {js}")
     if len(set(js)) != len(js):
         return SignedIndex(None, 0)
-    inversions = sum(js[s] < js[t] for s in range(len(js)) for t in range(s + 1, len(js)))
+    inversions = sum(
+        1
+        for s in range(len(js))
+        for t in range(s + 1, len(js))
+        if js[s] < js[t]
+    )
     mu = StrictPartition(sorted(js, reverse=True))
     return SignedIndex(mu, -1 if inversions % 2 else 1)
 

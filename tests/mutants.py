@@ -12,6 +12,11 @@ or survived) and exits 1 if any mutant survives.  A mutant that only the
 whole suite kills costs a full tier-1 run, so this is a command and not a
 test; ``test_mutants.py`` checks in a second that each old text still
 occurs exactly once in its file.
+
+The copies leave ``test_mutants.py`` out: in a mutated copy its old text is
+gone, so it would fail for every mutant and no mutant could survive.  For
+the same reason the command first runs tier-1 on an unmutated copy and
+stops with exit 2 if that fails.
 """
 
 import os
@@ -54,34 +59,44 @@ MUTANTS = [
 ]
 
 
+def _copy(tmp: str) -> None:
+    ignore = shutil.ignore_patterns(
+        "__pycache__", ".bench_build", ".pytest_cache", "test_mutants.py")
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", tmp)
+
+
+def _fails(tmp: str, *args) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
+        cwd=tmp, env={**os.environ, "PYTHONPATH": "src"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode != 0
+
+
 def _verdict(path: str, old: str, new: str, test: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        ignore = shutil.ignore_patterns("__pycache__", ".bench_build", ".pytest_cache")
-        for name in ("src", "tests", "perfbench"):
-            shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        _copy(tmp)
         target = Path(tmp) / path
         text = target.read_text(encoding="utf-8")
         if text.count(old) != 1:
             raise SystemExit(f"{path}: the old text {old!r} does not occur exactly once")
         target.write_text(text.replace(old, new), encoding="utf-8")
-
-        def fails(*args) -> bool:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
-                cwd=tmp, env={**os.environ, "PYTHONPATH": "src"},
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            return proc.returncode != 0
-
         # the expected killer first, since it is one test; then all of tier-1
-        if fails(test):
+        if _fails(tmp, test):
             return "killed"
-        if fails("--continue-on-collection-errors"):
+        if _fails(tmp, "--continue-on-collection-errors"):
             return "killed, but not by its expected test"
         return "SURVIVED"
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(tmp)
+        if _fails(tmp, "--continue-on-collection-errors"):
+            print("tier-1 fails on an unmutated copy, so no verdict would mean anything")
+            return 2
     survived = 0
     for path, old, new, test in MUTANTS:
         verdict = _verdict(path, old, new, test)
