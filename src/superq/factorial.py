@@ -17,7 +17,9 @@ index j passes one inversion per used index below it; ``normalize_index``
 is their test oracle.  ``p_star`` is the s-system, ``psi_iso`` the s-system
 on the P-coefficients of f, and ``expand_in_pstar`` the T-system on them,
 the b with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` = sum_mu b_mu P_mu.
-The three go back to the p-basis by one row sum, ``schurq._combine_P``.
+Both systems sum the ints D c_lambda of ``gamma.integer_form`` over one
+denominator D: ``expand_in_pstar`` divides by D once per b, and the other
+three go back to the p-basis by one integer row sum, ``schurq._combine_P``.
 The closed form P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} /
 g^lambda is the independent route that pins P*_mu down.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .gamma import GammaElement, add_into
+from .gamma import GammaElement, add_into, integer_form
 from .partitions import (
     StrictPartition,
     _mask_parts,
@@ -99,26 +101,29 @@ def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
     return rat(falling(lam.size, mu.size) * g_skew(lam, mu), g(lam))
 
 
-def _through(system, f: GammaElement) -> dict[StrictPartition, Rat]:
-    # sum_lambda c_lambda system(lambda) over the P-coefficients c_lambda of f
+def _through(system, f: GammaElement) -> tuple[dict[StrictPartition, int], int]:
+    # (sum_lambda a_lambda system(lambda), D) over the integer numerators
+    # a_lambda = D c_lambda of the P-coefficients c_lambda of f
+    denom, numerators = integer_form(expand_in_P(f))
     out: dict = {}
-    for lam, c in expand_in_P(f).items():
+    for lam, a in numerators.items():
         for mu, t in system(lam).items():
-            add_into(out, mu, c * t)
-    return out
+            add_into(out, mu, a * t)
+    return out, denom
 
 
 def psi_iso(f: GammaElement) -> GammaElement:
     """The linear isomorphism sending each P_lambda to P*_lambda."""
-    return _combine_P(_through(lambda lam: _exterior_power(lam, _stirling1_row), f))
+    return _combine_P(*_through(lambda lam: _exterior_power(lam, _stirling1_row), f))
 
 
 def expand_in_pstar(f: GammaElement) -> dict[StrictPartition, Rat]:
     """The b with f = sum_mu b_mu P*_mu: the T-system applied to the
     P-coefficients of f, since P_nu = sum_mu T_{nu,mu} P*_mu."""
-    return _through(p_to_pstar_coeffs, f)
+    sums, denom = _through(p_to_pstar_coeffs, f)
+    return {mu: rat(b, denom) for mu, b in sums.items()}
 
 
 def psi_iso_inverse(f: GammaElement) -> GammaElement:
     """The inverse isomorphism: f = sum_mu b_mu P*_mu maps to sum_mu b_mu P_mu."""
-    return _combine_P(expand_in_pstar(f))
+    return _combine_P(*_through(p_to_pstar_coeffs, f))

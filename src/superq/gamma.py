@@ -16,6 +16,7 @@ deformed scalar product is <p_rho, p_sigma> = 2^{-l(rho)} z_rho delta.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import lcm
 
 from .partitions import OddPartition, StrictPartition, display_sort_key, z
 from .rational import Rat, ZERO, rat, rat_str, parse_rat
@@ -34,6 +35,13 @@ def add_scaled(out: dict, element: "SparseTerms", c) -> None:
     """out += c * element, term by term, in place."""
     for key, value in element._coeffs.items():
         add_into(out, key, c * value)
+
+
+def integer_form(coeffs: Mapping) -> tuple[int, dict]:
+    """(D, {key: D c}) for exact rational values c, with D the lcm of their
+    denominators, so every D c is an int; (1, {}) when there are none."""
+    denom = lcm(*(c.denominator for c in coeffs.values()))
+    return denom, {k: c.numerator * (denom // c.denominator) for k, c in coeffs.items()}
 
 
 def render_terms(pairs, times: str = "*") -> str:

@@ -61,12 +61,12 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .content import OrdinaryPSumExpr
 from .factorial import expand_in_pstar
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
-from .gamma import GammaElement, SparseTerms, add_into
+from .gamma import GammaElement, SparseTerms, add_into, integer_form
 from .partitions import (
     EMPTY_STRICT,
     OddPartition,
@@ -247,20 +247,16 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 
 def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
     """(D, [(parts of mu~, m_1(mu), a)]) with f = (1/D) sum a p_mu, where D
-    is the lcm of the coefficient denominators and every a is a nonzero
-    integer; mu~ is mu without its 1s."""
+    and the nonzero integers a are ``gamma.integer_form`` of the
+    coefficients of f; mu~ is mu without its 1s."""
     if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
         raise TypeError(
             "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
             f"got {type(f).__name__}"
         )
-    denom = lcm(*(c.denominator for c in f._coeffs.values()))
-    terms = []
-    for mu, c in f._coeffs.items():
-        ones = mu.parts.count(1)
-        terms.append((mu.parts[:len(mu.parts) - ones], ones,
-                      c.numerator * (denom // c.denominator)))
-    return denom, terms
+    denom, numerators = integer_form(f._coeffs)
+    return denom, [(tuple(r for r in mu.parts if r != 1), mu.parts.count(1), a)
+                   for mu, a in numerators.items()]
 
 
 def _fold(terms, size: int) -> list[tuple[tuple, int]]:
@@ -372,8 +368,9 @@ def average_mu_bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     per (mu, n, nu) for the life of the process, and the one division by
     D * (n + m)! * g(mu) / m!, m = |mu|.  A walk that fills missing moments
     reads the skew counts of every lambda from one forward sweep on bitmask
-    keys (``skew_counts``), matched to the walk by the same keys.  The
-    per-lambda route through ``prob_mu`` is the test oracle.
+    keys (``partitions._skew_layers``, read through ``_weighted_shapes``),
+    matched to the walk by the same keys.  The per-lambda route through
+    ``prob_mu`` is the test oracle.
     """
     return _bruteforce(f, mu, n)
 

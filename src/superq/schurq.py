@@ -66,10 +66,12 @@ else: there is no rational copy and no column copy.  ``CharacterTable.value``
 turns one entry into a rational as it reads it, and ``rows`` does so row by
 row.  The two basis changes read the integers straight from the rows, in
 the two directions of P_lambda = sum_rho 2^{l(rho) - l(lambda)} z_rho^{-1}
-X^lambda_rho p_rho: ``expand_in_P`` finds the P-coefficients of f by one
-integer column sum per lambda, and ``_combine_P`` writes sum_lambda c_lambda
-P_lambda in the p-basis by one integer row sum per degree.  ``q``,
-``factorial.p_star`` and both directions of Psi go through the latter.
+X^lambda_rho p_rho, each on integer numerators over one denominator D
+(``gamma.integer_form``): ``expand_in_P`` finds the P-coefficients of f by
+one integer column sum per lambda, and ``_combine_P`` writes sum_lambda
+(a_lambda / D) P_lambda, for ints a_lambda, in the p-basis by one integer
+row sum per degree.  ``q``, ``factorial.p_star`` and both directions of Psi
+go through the latter.
 X = <p_rho, Q_lambda> is kept as the scalar-product view of the same values.
 """
 
@@ -79,9 +81,8 @@ import sys
 from array import array
 from functools import cache
 from itertools import chain, groupby
-from math import lcm
 
-from .gamma import GammaElement, scalar_product
+from .gamma import GammaElement, integer_form, scalar_product
 from .partitions import (
     OddPartition,
     StrictPartition,
@@ -175,7 +176,7 @@ def _unpack_row(packed: int, width: int, count: int):
 @cache
 def q(lam: StrictPartition) -> GammaElement:
     """The Schur Q-function Q_lambda = 2^{l(lambda)} P_lambda in the p-basis."""
-    return _combine_P({lam: 2**lam.length})
+    return _combine_P({lam: 1 << lam.length})
 
 
 def p_fn(lam: StrictPartition) -> GammaElement:
@@ -322,12 +323,8 @@ def expand_in_P(f: GammaElement) -> dict[StrictPartition, Rat]:
     for d, component in f.homogeneous_split().items():
         table = character_table(d)
         # sum_rho c_rho X^lambda_rho in integers over the common denominator
-        coeffs = component._coeffs
-        denom = lcm(*(c.denominator for c in coeffs.values()))
-        terms = [
-            (c.numerator * (denom // c.denominator), table._col_of[rho.parts])
-            for rho, c in coeffs.items()
-        ]
+        denom, numerators = integer_form(component._coeffs)
+        terms = [(a, table._col_of[rho.parts]) for rho, a in numerators.items()]
         for lam, row in zip(table.strict, table._rows):
             total = sum(c * row[j] for c, j in terms)
             if total:
@@ -335,25 +332,25 @@ def expand_in_P(f: GammaElement) -> dict[StrictPartition, Rat]:
     return out
 
 
-def _combine_P(coeffs: dict) -> GammaElement:
-    """sum_lambda c_lambda P_lambda in the p-basis, the transpose of
-    ``expand_in_P``.  Per degree, with D the common denominator of the
-    c_lambda / 2^{l(lambda)}, the integer sum total = sum_lambda D c_lambda /
-    2^{l(lambda)} row_lambda over the rows of the table gives each
-    coefficient once, as 2^{l(rho)} total_rho / (z_rho D)."""
+def _combine_P(numerators: dict, denom: int = 1) -> GammaElement:
+    """sum_lambda (a_lambda / denom) P_lambda in the p-basis, for integers
+    a_lambda, the transpose of ``expand_in_P``.  Per degree, with L the
+    largest l(lambda), the integer sum total = sum_lambda a_lambda
+    2^{L - l(lambda)} row_lambda over the rows of the table gives each
+    coefficient once, as 2^{l(rho)} total_rho / (z_rho denom 2^L)."""
     by_degree: dict[int, dict] = {}
-    for lam, c in coeffs.items():
-        by_degree.setdefault(lam.size, {})[lam] = rat(c, 1 << lam.length)
+    for lam, a in numerators.items():
+        by_degree.setdefault(lam.size, {})[lam] = a
     out = {}
     for d, weights in by_degree.items():
         table = character_table(d)
-        denom = lcm(*(c.denominator for c in weights.values()))
+        top = max(lam.length for lam in weights)
         total = [0] * len(table.odd)
-        for lam, c in weights.items():
+        for lam, a in weights.items():
             row = table._rows[table._row_of[_mask(lam.parts)]]
-            w = c.numerator * (denom // c.denominator)
+            w = a << (top - lam.length)
             total = [t + w * x for t, x in zip(total, row)]
         for rho, t in zip(table.odd, total):
             if t:
-                out[rho] = rat(t << rho.length, z(rho) * denom)
+                out[rho] = rat(t << rho.length, z(rho) * denom << top)
     return GammaElement._wrap(out)

@@ -37,13 +37,21 @@ MUTANTS = [
      "tests/test_factorial.py::test_sweep_equals_the_walk_over_index_tuples"),
     ("src/superq/factorial.py", "if not mask & bit:", "if True:",
      "tests/test_factorial.py::test_sweep_equals_the_walk_over_index_tuples"),
-    # schurq._combine_P without its 2^{l(lambda)}, 2^{l(rho)} or z_rho
-    ("src/superq/schurq.py", "rat(c, 1 << lam.length)", "rat(c, 1)",
-     "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
+    # schurq._combine_P without its 2^{L - l(lambda)}, 2^{l(rho)}, z_rho or 2^L
+    ("src/superq/schurq.py", "w = a << (top - lam.length)", "w = a",
+     "tests/test_factorial.py::test_through_sums_integers_over_one_denominator"),
     ("src/superq/schurq.py", "rat(t << rho.length,", "rat(t,",
      "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
-    ("src/superq/schurq.py", "z(rho) * denom)", "denom)",
+    ("src/superq/schurq.py", "z(rho) * denom << top)", "denom << top)",
      "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
+    ("src/superq/schurq.py", "denom << top)", "denom)",
+     "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
+    # expand_in_pstar not dividing by the denominator of the integer form
+    ("src/superq/factorial.py", "rat(b, denom)", "rat(b, 1)",
+     "tests/test_factorial.py::test_through_sums_integers_over_one_denominator"),
+    # gamma.integer_form scaling each numerator by the whole lcm
+    ("src/superq/gamma.py", "(denom // c.denominator)", "denom",
+     "tests/test_gamma.py::test_integer_form"),
     # verify check 3 comparing brute force only at n <= 1
     ("src/superq/verify.py",
      "for n in range(10):\n            brute = average_bruteforce(f, n)",

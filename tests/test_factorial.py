@@ -5,6 +5,8 @@ import strategies as strat
 from recursive_oracle import oracle_exterior_power, oracle_p_star
 from superq.factorial import (
     _exterior_power,
+    _through,
+    expand_in_pstar,
     normalize_index,
     p_star,
     p_star_eval,
@@ -20,7 +22,7 @@ from superq.partitions import (
     enumerate_strict,
 )
 from superq.rational import rat
-from superq.schurq import character_table, p_fn
+from superq.schurq import character_table, expand_in_P, p_fn
 
 p = GammaElement.p
 
@@ -121,6 +123,30 @@ def test_psi_and_p_star_build_no_element_per_term(monkeypatch):
         call(arg)
         counts.append(built[0])
     assert all(c <= b for c, b in zip(counts, bounds)), (counts, bounds)
+
+
+def test_through_sums_integers_over_one_denominator():
+    # both systems sum int numerators, and over the one denominator they give
+    # Psi(f) (the s-system) and the P*-coefficients of f (the T-system); the
+    # P-coefficients of f in degree 11 have lengths 1 to 3
+    f = rat(1, 3) * p(3) ** 2 * p(5) - rat(5, 4) * p((1, 1)) + rat(2, 7) * p(1)
+    image: dict = {}
+    for lam, c in expand_in_P(f).items():
+        add_scaled(image, p_star(lam), c)
+    for system, build, want in [
+            (lambda lam: _exterior_power(lam, _stirling1_row), p_fn, image),
+            (p_to_pstar_coeffs, p_star, f._coeffs)]:
+        sums, denom = _through(system, f)
+        assert denom > 1 and sums
+        assert all(type(b) is int for b in sums.values())
+        out: dict = {}
+        for mu, b in sums.items():
+            add_scaled(out, build(mu), rat(b, denom))
+        assert out == want
+    # the T-system ran last: expand_in_pstar divides its sums once
+    assert expand_in_pstar(f) == {mu: rat(b, denom) for mu, b in sums.items()}
+    assert psi_iso(f) == GammaElement._wrap(image)
+    assert psi_iso_inverse(psi_iso(f)) == f
 
 
 def test_p_star_eval_examples():

@@ -3,7 +3,7 @@ from hypothesis import given
 
 import strategies as strat
 from pfaffian_oracle import oracle_q
-from superq.gamma import GammaElement, scalar_product
+from superq.gamma import GammaElement, integer_form, scalar_product
 from superq.partitions import (
     OddPartition,
     StrictPartition,
@@ -39,6 +39,16 @@ def test_pow_and_scale():
     assert rat(1, 2) * (2 * p(3)) == p(3)
     with pytest.raises(ValueError):
         p(1) ** -1
+
+
+def test_integer_form():
+    # D is the lcm of the denominators, and each value becomes D c, sign kept
+    assert integer_form({"a": rat(1, 6), "b": rat(-3, 4), "c": 2}) == (
+        12, {"a": 2, "b": -9, "c": 24})
+    denom, numerators = integer_form({"a": rat(4, 2), "b": -5, "c": rat(7)})
+    assert (denom, numerators) == (1, {"a": 2, "b": -5, "c": 7})
+    assert all(type(a) is int for a in numerators.values())
+    assert integer_form({}) == (1, {})
 
 
 def test_scalar_product_examples():

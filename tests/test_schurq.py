@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
 from recursive_oracle import _all_bars, _bars, oracle_columns
-from superq.gamma import GammaElement, add_scaled, scalar_product
+from superq.gamma import GammaElement, add_scaled, integer_form, scalar_product
 from superq.partitions import (
     OddPartition,
     StrictPartition,
@@ -345,7 +345,7 @@ def test_row_combination_gives_each_P_entry_by_entry():
                 {rho: rat(2**rho.length * character(lam, rho), 2**lam.length * z(rho))
                  for rho in enumerate_odd(n)})
             assert _combine_P({lam: 1}) == p_lam == p_fn(lam)
-            assert _combine_P({lam: rat(-3, 7)}) == rat(-3, 7) * p_lam
+            assert _combine_P({lam: -3}, 7) == rat(-3, 7) * p_lam
 
 
 @given(st.dictionaries(
@@ -358,6 +358,6 @@ def test_row_combination_is_the_sum_of_P_and_inverts_expand_in_P(coeffs):
     out: dict = {}
     for lam, c in coeffs.items():
         add_scaled(out, p_fn(lam), c)
-    combined = _combine_P(coeffs)
+    combined = _combine_P(*reversed(integer_form(coeffs)))
     assert combined == GammaElement._wrap(out)
     assert expand_in_P(combined) == coeffs
