@@ -11,13 +11,11 @@ conjecture counterexamples), 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
 from itertools import islice
 
-from . import verify as verify_mod
 from .content import OrdinaryPSumExpr, hat_F, hat_p, phi_series_check, psi, psi_direct
 from .explorer import (
     LAB_CAP,
@@ -154,6 +152,8 @@ def cmd_chartable(args):
             ],
         })
         return
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["lambda/rho"] + [str(rho) for rho in table.odd])
     for lam, row in rows:
@@ -251,7 +251,9 @@ def cmd_lab_fstruct(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run_all()
+    from .verify import run_all
+
+    results = run_all()
     if args.format == "json":
         _emit_json([
             {"key": r.key, "description": r.description, "ok": r.ok,
@@ -275,18 +277,28 @@ COMMANDS = ("enum", "g", "gskew", "prob", "qfunc", "chartable", "pstar",
             "verify")
 
 
+def _build_formatter(prog: str) -> argparse.HelpFormatter:
+    # While the tree is built, argparse formats text only to check each
+    # metavar and to name the subparsers' prog, and neither reads the width;
+    # an explicit one spares HelpFormatter its import of shutil.
+    return argparse.HelpFormatter(prog, width=80)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or with ``command`` of that one alone.
 
     A one-subcommand parser parses the same and prints the same bytes for
     every argv that starts with its command: its usage line names all the
-    subcommands, as the full parser's does.
+    subcommands, as the full parser's does.  Help and usage errors are
+    argparse's own, at the terminal's width.
     """
     parser = argparse.ArgumentParser(
         prog="superq",
         description="Exact computations with supersymmetric functions on "
                     "strict partitions.",
+        formatter_class=_build_formatter,
     )
+    parsers = [parser]
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
@@ -295,7 +307,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         """A top-level subcommand with subcommands of its own, or None when
         the parser is for another command."""
         if command is None or name == command:
-            return sub.add_parser(name, help=help_text)
+            parsers.append(sub.add_parser(name, help=help_text,
+                                          formatter_class=_build_formatter))
+            return parsers[-1]
         return None
 
     def add(name, handler, help_text, formats=("json",), group=sub):
@@ -304,7 +318,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for another command."""
         if group is sub and command is not None and name != command:
             return None
-        p = group.add_parser(name, help=help_text)
+        p = group.add_parser(name, help=help_text, formatter_class=_build_formatter)
+        parsers.append(p)
         p.set_defaults(func=handler)
         p.add_argument("--format", choices=formats, default=formats[0])
         return p
@@ -420,6 +435,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     add("verify", cmd_verify, "run the full paper-identity golden suite",
         ("pretty", "json"))
 
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
     return parser
 
 

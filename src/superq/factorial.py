@@ -11,14 +11,16 @@ the first kind:
 
     P*_mu = sum_j sign(j) s(mu_1, j_1) ... s(mu_l, j_l) P_{sort j}.
 
-Both are integer sweeps (``_exterior_power``): one part at a time, on
-bitmasks of the indices used so far, where a used index vanishes and a new
-index j passes one inversion per used index below it; ``normalize_index``
-is their test oracle.  ``p_star`` is the s-system, ``psi_iso`` the s-system
-on the P-coefficients of f, and ``expand_in_pstar`` the T-system on them,
-the b with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` = sum_mu b_mu P_mu.
-Both systems sum the ints D c_lambda of ``gamma.integer_form`` over one
-denominator D: ``expand_in_pstar`` divides by D once per b, and the other
+Both are integer sweeps (``_sweep``): one part at a time, on bitmasks of
+the indices used so far, where a used index vanishes and a new index j
+passes one inversion per used index below it; ``normalize_index`` is their
+test oracle.  ``p_star`` is the s-system, ``psi_iso`` the s-system on the
+P-coefficients of f, and ``expand_in_pstar`` the T-system on them, the b
+with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` = sum_mu b_mu P_mu.
+Both systems, memoised per lambda as dicts keyed by the index masks, sum
+the ints D c_lambda of ``gamma.integer_form`` over one denominator D on
+those masks, and each mu is built once from its mask at the end:
+``expand_in_pstar`` divides by D once per b, and the other
 three go back to the p-basis by one integer row sum, ``schurq._combine_P``.
 The closed form P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} /
 g^lambda is the independent route that pins P*_mu down.
@@ -67,9 +69,10 @@ def normalize_index(js) -> SignedIndex:
     return SignedIndex(mu, -1 if inversions % 2 else 1)
 
 
-def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition, int]:
+def _sweep(lam: StrictPartition, stirling_row) -> dict[int, int]:
     # Column lam of the exterior power of the matrix of rows stirling_row(k):
-    # sum_j sign(j) prod_i row(lam_i)[j_i] e_{sort j}, by the sweep above.
+    # sum_j sign(j) prod_i row(lam_i)[j_i] e_{sort j}, by the sweep above,
+    # keyed by the mask of each index set {j_i}.
     layer = {0: 1}
     for part in lam.parts:
         row = stirling_row(part)
@@ -81,13 +84,30 @@ def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition,
                     sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
                     add_into(grown, mask | bit, sign * weight * row[j])
         layer = grown
-    return {StrictPartition._trusted(_mask_parts(mask)): w for mask, w in layer.items()}
+    return layer
+
+
+def _by_partition(masks: dict[int, int]) -> dict[StrictPartition, int]:
+    return {StrictPartition._trusted(_mask_parts(mask)): w for mask, w in masks.items()}
+
+
+def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition, int]:
+    return _by_partition(_sweep(lam, stirling_row))
 
 
 @cache
+def _s_system(lam: StrictPartition) -> dict[int, int]:
+    return _sweep(lam, _stirling1_row)
+
+
+@cache
+def _t_system(lam: StrictPartition) -> dict[int, int]:
+    return _sweep(lam, _stirling2_row)
+
+
 def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
     """Integer coefficients of P_lambda in the P*-basis (the T-system)."""
-    return _exterior_power(lam, _stirling2_row)
+    return _by_partition(_t_system(lam))
 
 
 @cache
@@ -103,27 +123,28 @@ def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:
 
 def _through(system, f: GammaElement) -> tuple[dict[StrictPartition, int], int]:
     # (sum_lambda a_lambda system(lambda), D) over the integer numerators
-    # a_lambda = D c_lambda of the P-coefficients c_lambda of f
+    # a_lambda = D c_lambda of the P-coefficients c_lambda of f, summed on
+    # the masks of the sweep; each mu is built once, at the end
     denom, numerators = integer_form(expand_in_P(f))
-    out: dict = {}
+    sums: dict[int, int] = {}
     for lam, a in numerators.items():
-        for mu, t in system(lam).items():
-            add_into(out, mu, a * t)
-    return out, denom
+        for mask, t in system(lam).items():
+            add_into(sums, mask, a * t)
+    return _by_partition(sums), denom
 
 
 def psi_iso(f: GammaElement) -> GammaElement:
     """The linear isomorphism sending each P_lambda to P*_lambda."""
-    return _combine_P(*_through(lambda lam: _exterior_power(lam, _stirling1_row), f))
+    return _combine_P(*_through(_s_system, f))
 
 
 def expand_in_pstar(f: GammaElement) -> dict[StrictPartition, Rat]:
     """The b with f = sum_mu b_mu P*_mu: the T-system applied to the
     P-coefficients of f, since P_nu = sum_mu T_{nu,mu} P*_mu."""
-    sums, denom = _through(p_to_pstar_coeffs, f)
+    sums, denom = _through(_t_system, f)
     return {mu: rat(b, denom) for mu, b in sums.items()}
 
 
 def psi_iso_inverse(f: GammaElement) -> GammaElement:
     """The inverse isomorphism: f = sum_mu b_mu P*_mu maps to sum_mu b_mu P_mu."""
-    return _combine_P(*_through(p_to_pstar_coeffs, f))
+    return _combine_P(*_through(_t_system, f))

@@ -46,6 +46,10 @@ MUTANTS = [
      "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
     ("src/superq/schurq.py", "denom << top)", "denom)",
      "tests/test_schurq.py::test_row_combination_gives_each_P_entry_by_entry"),
+    # factorial._through returning its sums keyed by masks, not partitions
+    ("src/superq/factorial.py", "return _by_partition(sums), denom",
+     "return sums, denom",
+     "tests/test_factorial.py::test_through_sums_integers_over_one_denominator"),
     # expand_in_pstar not dividing by the denominator of the integer form
     ("src/superq/factorial.py", "rat(b, denom)", "rat(b, 1)",
      "tests/test_factorial.py::test_through_sums_integers_over_one_denominator"),
@@ -61,6 +65,17 @@ MUTANTS = [
     ("src/superq/content.py", "for k in range(1, order + 1))",
      "for k in range(1, order))",
      "tests/test_content.py::test_phi_series_check_reads_every_order"),
+    # cli.build_parser: the build-time formatter reading the terminal width
+    # (and so importing shutil), a subcommand's parser or every parser
+    # keeping the build-time formatter for its help
+    ("src/superq/cli.py", "argparse.HelpFormatter(prog, width=80)",
+     "argparse.HelpFormatter(prog)",
+     "tests/test_cli.py::test_a_command_loads_neither_shutil_nor_csv_nor_verify"),
+    ("src/superq/cli.py", "        parsers.append(p)\n", "",
+     "tests/test_cli.py::test_help_and_usage_errors_are_argparse_own"),
+    ("src/superq/cli.py", "p.formatter_class = argparse.HelpFormatter",
+     "p.formatter_class = _build_formatter",
+     "tests/test_cli.py::test_help_and_usage_errors_are_argparse_own"),
     # the table's digit bound without its factor 2
     ("src/superq/schurq.py", "_digit_width(2 *", "_digit_width(1 *",
      "tests/test_schurq.py::test_digit_width_is_the_fewest_bytes_that_hold_the_bound"),

@@ -123,15 +123,22 @@ def oracle_hat_p(k: int) -> GammaElement:
 def oracle_expand_gamma_in_frak(f: GammaElement) -> FrakExpansion:
     """Frak-p coefficients by peeling homogeneous top components:
     frak_p(rho) = p_rho + lower degree, so the top p-coefficients are the
-    top frak-p coefficients."""
+    top frak-p coefficients.  Each round lowers the top degree, so a
+    remainder left after deg f + 1 rounds means a frak_p(rho) without that
+    top component, and raises AssertionError instead of peeling forever."""
     coeffs = {}
     remainder = dict(f._coeffs)
-    while remainder:
+    for _ in range(f.degree() + 1):
+        if not remainder:
+            break
         d = max(rho.size for rho in remainder)
         top = [(rho, c) for rho, c in remainder.items() if rho.size == d]
         for rho, c in top:
             coeffs[rho] = c
             add_scaled(remainder, frak_p(rho), -c)
+    if remainder:
+        raise AssertionError(f"frak-p peeling left {len(remainder)} terms after "
+                             f"deg f + 1 rounds")
     return FrakExpansion._wrap(coeffs)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -504,6 +505,47 @@ def test_cli_import_skips_typing_and_dataclasses():
     assert not loaded & {"typing", "dataclasses", "inspect"}
     traced = {"superq." + name.rsplit(".", 1)[0] for name in TRACED}
     assert traced and traced <= loaded
+
+
+def test_a_command_loads_neither_shutil_nor_csv_nor_verify():
+    # start-up cost: the parser is built without reading the terminal width,
+    # and only chartable and verify load csv and superq.verify
+    src = str(Path(superq.__file__).parents[1])
+    code = ("import json, sys, superq.cli; superq.cli.main(['g', '4,1']); "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out, modules = proc.stdout.splitlines()
+    assert out == "3"
+    assert not set(json.loads(modules)) & {"shutil", "csv", "superq.verify"}
+
+
+HELP_AND_USAGE_ERRORS = [
+    ["--help"], [], ["bogus"], ["g"], ["frak", "--help"], ["frak", "eval"],
+    ["lab", "p2", "--help"], ["avg", "--help"],
+    ["avg", "--f", "p[1]", "--n", "3", "--format", "pretty"],
+]
+
+
+@pytest.mark.parametrize("columns", ["20", "200"])
+def test_help_and_usage_errors_are_argparse_own(capsys, monkeypatch, columns):
+    # the bytes of a parser built with the plain HelpFormatter throughout,
+    # at the terminal width in COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def outputs():
+        got = []
+        for argv in HELP_AND_USAGE_ERRORS:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            got.append((argv, exc.value.code, captured.out, captured.err))
+        return got
+
+    ours = outputs()
+    monkeypatch.setattr(superq.cli, "_build_formatter", argparse.HelpFormatter)
+    assert ours == outputs()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -5,6 +5,8 @@ import strategies as strat
 from recursive_oracle import oracle_exterior_power, oracle_p_star
 from superq.factorial import (
     _exterior_power,
+    _s_system,
+    _t_system,
     _through,
     expand_in_pstar,
     normalize_index,
@@ -134,8 +136,8 @@ def test_through_sums_integers_over_one_denominator():
     for lam, c in expand_in_P(f).items():
         add_scaled(image, p_star(lam), c)
     for system, build, want in [
-            (lambda lam: _exterior_power(lam, _stirling1_row), p_fn, image),
-            (p_to_pstar_coeffs, p_star, f._coeffs)]:
+            (_s_system, p_fn, image),
+            (_t_system, p_star, f._coeffs)]:
         sums, denom = _through(system, f)
         assert denom > 1 and sums
         assert all(type(b) is int for b in sums.values())

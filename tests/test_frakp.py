@@ -134,6 +134,16 @@ def test_expansions_agree_between_routes():
         assert expand_gamma_in_frak(f) == oracle_expand_gamma_in_frak(f)
 
 
+def test_peeling_oracle_stops_when_frak_p_lacks_its_top_term(monkeypatch):
+    # with frak_p(rho) = 2 p_rho + lower, each round leaves -c p_rho on top,
+    # so the peeling would never end without its bound of deg f + 1 rounds
+    import recursive_oracle
+
+    monkeypatch.setattr(recursive_oracle, "frak_p", lambda rho: 2 * frak_p(rho))
+    with pytest.raises(AssertionError):
+        oracle_expand_gamma_in_frak(p(3) ** 2 + p(1))
+
+
 @given(strat.gamma_elements(max_degree=7))
 def test_round_trip(f):
     expansion = expand_gamma_in_frak(f)
