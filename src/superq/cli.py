@@ -11,6 +11,7 @@ conjecture counterexamples), 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -441,7 +442,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    With no argv, ``main`` runs as the program (the ``superq`` script,
+    ``python -m superq``): it reads ``sys.argv`` and first freezes the
+    collector with ``gc.freeze()``.  Everything loaded by then lives until
+    the process ends, so it is moved out of every later collection,
+    including the full ones that run at interpreter exit.  ``main(argv)``
+    with an explicit list is a call from a caller that owns its process,
+    and it leaves the collector as it found it.
+    """
     if argv is None:
+        gc.freeze()
         argv = sys.argv[1:]
     # argparse hands everything after a leading subcommand to that
     # subcommand's parser, so building it alone changes no output

@@ -256,14 +256,22 @@ class GammaElement(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, GammaElement):
             return self._scale(other)
-        out: dict[OddPartition, Rat] = {}
-        for rho, a in self._coeffs.items():
-            for sigma, b in other._coeffs.items():
-                key = OddPartition(
-                    sorted(rho.parts + sigma.parts, reverse=True)
-                )
-                add_into(out, key, a * b)
-        return GammaElement._wrap(out)
+        # integer numerators over one denominator per factor: the products
+        # add as ints on merged part tuples, and each output term is built
+        # and divided once
+        da, a_int = integer_form(self._coeffs)
+        db, b_int = integer_form(other._coeffs)
+        sums: dict[tuple[int, ...], int] = {}
+        for rho, a in a_int.items():
+            parts = rho.parts
+            for sigma, b in b_int.items():
+                key = tuple(sorted(parts + sigma.parts, reverse=True))
+                sums[key] = sums.get(key, 0) + a * b
+        denom = da * db
+        trusted = OddPartition._trusted
+        return GammaElement._wrap(
+            {trusted(key): rat(v, denom) for key, v in sums.items() if v}
+        )
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

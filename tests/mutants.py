@@ -56,6 +56,9 @@ MUTANTS = [
     # gamma.integer_form scaling each numerator by the whole lcm
     ("src/superq/gamma.py", "(denom // c.denominator)", "denom",
      "tests/test_gamma.py::test_integer_form"),
+    # GammaElement.__mul__ dividing by one factor's denominator only
+    ("src/superq/gamma.py", "denom = da * db", "denom = da",
+     "tests/test_gamma.py::test_mul_equals_the_pairwise_rational_products"),
     # verify check 3 comparing brute force only at n <= 1
     ("src/superq/verify.py",
      "for n in range(10):\n            brute = average_bruteforce(f, n)",
@@ -76,6 +79,9 @@ MUTANTS = [
     ("src/superq/cli.py", "p.formatter_class = argparse.HelpFormatter",
      "p.formatter_class = _build_formatter",
      "tests/test_cli.py::test_help_and_usage_errors_are_argparse_own"),
+    # cli.main run as the program leaving the import heap to the collector
+    ("src/superq/cli.py", "        gc.freeze()\n", "",
+     "tests/test_cli.py::test_main_as_the_program_freezes_the_import_heap"),
     # the table's digit bound without its factor 2
     ("src/superq/schurq.py", "_digit_width(2 *", "_digit_width(1 *",
      "tests/test_schurq.py::test_digit_width_is_the_fewest_bytes_that_hold_the_bound"),

@@ -6,11 +6,12 @@ same functions behind ``superq verify``) and prints one PASS/FAIL line; any
 mismatch carries the failing detail in the assertion message.
 """
 
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from superq import explorer, verify
+from superq.content import hat_p
 from superq.factorial import p_star
 from superq.frakp import frak_p
 from superq.gamma import GammaElement
@@ -94,6 +95,28 @@ def test_pstar_averages_match_the_closed_form():
         assert average_symbolic_frak(f) == closed, mu
         for n in (m + 2, m + 5):
             assert average_bruteforce(f, n) == closed.evaluate(n), (mu, n)
+
+
+def test_odd_power_sum_averages_have_the_limit_shape_top_coefficient():
+    # E_n[p_{2k+1}] has degree k + 1 and top falling-factorial coefficient
+    # 2^k C(2k+1, k) / (k + 1), past the reach of brute force; its n^(1) and
+    # n^(2) coefficients, read at n = 1 and 2, are 1 and 4^k - 1
+    for k in range(16):
+        average = average_symbolic_frak(GammaElement.p(2 * k + 1))
+        assert average.degree() == k + 1, k
+        assert average.coefficient(k + 1) == rat(2**k * comb(2 * k + 1, k), k + 1), k
+        assert average.coefficient(1) == 1, k
+        if k:
+            assert average.coefficient(2) == 4**k - 1, k
+
+
+def test_hatp_averages_have_the_catalan_top_coefficient():
+    # E_n[hatp_k] has degree k + 1 and top coefficient Catalan(k) / (k + 1),
+    # since hatp_k's top term is p_{2k+1} / (2^k (2k+1))
+    for k in range(1, 19):
+        average = average_symbolic_frak(hat_p(k))
+        assert average.degree() == k + 1, k
+        assert average.coefficient(k + 1) == rat(comb(2 * k, k), (k + 1) ** 2), k
 
 
 def test_parts_equal_to_1_are_linear_factors():

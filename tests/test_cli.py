@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -519,6 +520,22 @@ def test_a_command_loads_neither_shutil_nor_csv_nor_verify():
     out, modules = proc.stdout.splitlines()
     assert out == "3"
     assert not set(json.loads(modules)) & {"shutil", "csv", "superq.verify"}
+
+
+def test_main_as_the_program_freezes_the_import_heap(capsys):
+    # run as the program, main() moves everything loaded so far out of the
+    # collector's reach, so the collections at exit skip it; a caller that
+    # passes argv keeps its collector as it was
+    src = str(Path(superq.__file__).parents[1])
+    code = ("import gc, sys, superq.cli; sys.argv = ['superq', 'g', '4,1']; "
+            "superq.cli.main(); print(gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\nTrue\n"
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "g", "4,1") == (0, "3\n", "")
+    assert gc.get_freeze_count() == frozen
 
 
 HELP_AND_USAGE_ERRORS = [

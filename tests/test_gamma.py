@@ -11,7 +11,7 @@ from superq.partitions import (
     enumerate_strict,
     z,
 )
-from superq.rational import rat
+from superq.rational import Rat, rat
 
 p = GammaElement.p
 
@@ -117,6 +117,33 @@ def test_mul_commutative(f, g):
 def test_mul_associative_and_distributive(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+def pairwise_product(f, g):
+    # the product pair of terms by pair of terms: a validated key and a
+    # rational product for each pair, added as rationals
+    out = {}
+    for rho, a in f._coeffs.items():
+        for sigma, b in g._coeffs.items():
+            key = OddPartition(sorted(rho.parts + sigma.parts, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+    return GammaElement(out)
+
+
+@given(strat.gamma_elements(), strat.gamma_elements())
+def test_mul_equals_the_pairwise_rational_products(f, g):
+    # fractional coefficients from the strategy; (f + g)(f - g) cancels its
+    # cross terms; the zero element and the unit
+    one, zero = GammaElement.one(), GammaElement.zero()
+    for a, b in ((f, g), (f + g, f - g), (f, zero), (zero, g), (f, one), (one, g)):
+        product = a * b
+        assert product == pairwise_product(a, b)
+        for key, c in product._coeffs.items():
+            assert type(key) is OddPartition and type(key.parts) is tuple
+            assert type(c) is Rat and c
+    assert (p(1) + p(3)) * (p(1) - p(3)) == p((1, 1)) - p((3, 3))
+    assert (rat(1, 6) * p(3)) * (rat(3, 4) * p(1) + rat(2, 3) * one) == (
+        rat(1, 8) * p((3, 1)) + rat(1, 9) * p(3))
 
 
 @given(strat.gamma_elements())
