@@ -160,17 +160,18 @@ def hat_F_eval_direct(F: OrdinaryPSumExpr, lam: StrictPartition) -> Rat:
 
 
 def psi_direct(k: int, lam: StrictPartition) -> Rat:
-    """Alternating corner sum of {c(c+1)}^k: inner corners minus outer."""
+    """Alternating corner sum of {c(c+1)}^k: inner corners minus outer,
+    summed as ints."""
     if k < 1:
         raise ValueError("k must be positive")
-    total = ZERO
+    total = 0
     for cell in inner_corners(lam):
         c = cell.content
-        total += rat(c * (c + 1)) ** k
+        total += (c * (c + 1)) ** k
     for cell in outer_corners(lam):
         c = cell.content
-        total -= rat(c * (c + 1)) ** k
-    return total
+        total -= (c * (c + 1)) ** k
+    return rat(total)
 
 
 @cache

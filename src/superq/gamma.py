@@ -67,10 +67,12 @@ class SparseTerms:
     """Immutable sparse map key -> exact nonzero rational.
 
     Subclasses set ``_key`` (the key type; other keys are converted with
-    it) and ``_symbol`` (the basis symbol of ``str``).
+    it) and ``_symbol`` (the basis symbol of ``str``).  ``_int`` holds
+    ``integer_form`` of the coefficients once ``_integer_form`` has
+    computed it; an element never changes, so the form never goes stale.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_int")
     _key = OddPartition
     _symbol = "p"
 
@@ -85,12 +87,14 @@ class SparseTerms:
                 key = key_type(key)
             add_into(clean, key, rat(value))
         self._coeffs = clean
+        self._int = None
 
     @classmethod
     def _wrap(cls, coeffs: dict):
         # An element around a dict that already has typed keys and no zeros.
         result = cls.__new__(cls)
         result._coeffs = coeffs
+        result._int = None
         return result
 
     @classmethod
@@ -116,6 +120,14 @@ class SparseTerms:
 
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def _integer_form(self) -> tuple[int, dict]:
+        # integer_form(self._coeffs), computed on first use and kept; the
+        # caller must not change the dict
+        form = self._int
+        if form is None:
+            form = self._int = integer_form(self._coeffs)
+        return form
 
     # -- linear operations ---------------------------------------------------
 
@@ -259,8 +271,8 @@ class GammaElement(SparseTerms):
         # integer numerators over one denominator per factor: the products
         # add as ints on merged part tuples, and each output term is built
         # and divided once
-        da, a_int = integer_form(self._coeffs)
-        db, b_int = integer_form(other._coeffs)
+        da, a_int = self._integer_form()
+        db, b_int = other._integer_form()
         sums: dict[tuple[int, ...], int] = {}
         for rho, a in a_int.items():
             parts = rho.parts
@@ -298,11 +310,20 @@ class GammaElement(SparseTerms):
 
 
 def scalar_product(f: GammaElement, g: GammaElement) -> Rat:
-    """Bilinear extension of <p_rho, p_sigma> = 2^{-l(rho)} z_rho delta."""
-    total = ZERO
-    small, large = (f, g) if len(f._coeffs) <= len(g._coeffs) else (g, f)
-    for rho, a in small._coeffs.items():
-        b = large._coeffs.get(rho)
-        if b is not None:
-            total += a * b * rat(z(rho), 2 ** rho.length)
-    return total
+    """Bilinear extension of <p_rho, p_sigma> = 2^{-l(rho)} z_rho delta.
+
+    With f = A / D_f and g = B / D_g in integers (``integer_form``) and L
+    the largest l(rho) over the common support, it is
+    sum_rho A_rho B_rho z_rho 2^{L - l(rho)} / (D_f D_g 2^L), summed as
+    ints and divided once."""
+    da, a_int = f._integer_form()
+    db, b_int = g._integer_form()
+    if len(a_int) > len(b_int):
+        a_int, b_int = b_int, a_int
+    common = [(rho, a * b) for rho, a in a_int.items()
+              if (b := b_int.get(rho)) is not None]
+    if not common:
+        return ZERO
+    top = max(rho.length for rho, _ in common)
+    total = sum(t * z(rho) << (top - rho.length) for rho, t in common)
+    return rat(total, da * db << top)

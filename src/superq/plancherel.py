@@ -66,7 +66,7 @@ from math import comb, factorial
 from .content import OrdinaryPSumExpr
 from .factorial import expand_in_pstar
 from .frakp import expand_gamma_in_frak, frak_p, frak_p_eval, tilde
-from .gamma import GammaElement, SparseTerms, add_into, integer_form
+from .gamma import GammaElement, SparseTerms, add_into
 from .partitions import (
     EMPTY_STRICT,
     OddPartition,
@@ -248,15 +248,20 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
     """(D, [(parts of mu~, m_1(mu), a)]) with f = (1/D) sum a p_mu, where D
     and the nonzero integers a are ``gamma.integer_form`` of the
-    coefficients of f; mu~ is mu without its 1s."""
+    coefficients of f, as f keeps it; mu~ is mu without its 1s, which are
+    its trailing parts."""
     if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
         raise TypeError(
             "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
             f"got {type(f).__name__}"
         )
-    denom, numerators = integer_form(f._coeffs)
-    return denom, [(tuple(r for r in mu.parts if r != 1), mu.parts.count(1), a)
-                   for mu, a in numerators.items()]
+    denom, numerators = f._integer_form()
+    out = []
+    for mu, a in numerators.items():
+        parts = mu.parts
+        ones = parts.count(1)
+        out.append((parts[:len(parts) - ones], ones, a))
+    return denom, out
 
 
 def _fold(terms, size: int) -> list[tuple[tuple, int]]:

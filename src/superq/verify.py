@@ -88,16 +88,13 @@ def check_character_integrity() -> CheckResult:
                 want = 1 if lam == mu else 0
                 if scalar_product(plam, q(mu)) != want:
                     return CheckResult(False, f"duality fails at ({lam}, {mu})")
-        # orthogonality sum_lam 2^{-l} X X = delta 2^{-l(rho)} z_rho
-        for rho in table.odd:
-            for sigma in table.odd:
-                total = sum(
-                    rat(1, 2**lam.length)
-                    * table.value(lam, rho)
-                    * table.value(lam, sigma)
-                    for lam in strict
-                )
-                want = rat(z(rho), 2**rho.length) if rho == sigma else rat(0)
+        # orthogonality sum_lam 2^{-l} X X = delta 2^{-l(rho)} z_rho, times
+        # 2^k so that it sums the integer rows of the table as ints
+        weights = [1 << (k - lam.length) for lam in strict]
+        for i, rho in enumerate(table.odd):
+            for j, sigma in enumerate(table.odd):
+                total = sum(w * row[i] * row[j] for w, row in zip(weights, table._rows))
+                want = z(rho) << (k - rho.length) if i == j else 0
                 if total != want:
                     return CheckResult(False, f"orthogonality fails at ({rho}, {sigma})")
         ones = OddPartition((1,) * k)
@@ -189,7 +186,9 @@ def check_golden_expansions() -> CheckResult:
 
 def check_deformed_average_constants() -> CheckResult:
     mus = [mu for m in range(6) for mu in enumerate_strict(m)]
-    rhos = _m1_free_partitions(7)
+    # the largest rho first: its brute-force walk at each (mu, n) fills the
+    # moments of every smaller rho there too
+    rhos = _m1_free_partitions(7)[::-1]
     for mu in mus:
         for rho in rhos:
             expected = frak_p_eval(rho, mu)
@@ -208,7 +207,8 @@ def check_deformed_average_constants() -> CheckResult:
 
 
 def check_product_average_orthogonality() -> CheckResult:
-    rhos = _m1_free_partitions(7)
+    # from the largest pair down, so that one walk per n fills the moments
+    rhos = _m1_free_partitions(7)[::-1]
     for i, rho in enumerate(rhos):
         for sigma in rhos[i:]:
             symbolic = product_average_check(rho, sigma)

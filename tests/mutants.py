@@ -59,6 +59,38 @@ MUTANTS = [
     # GammaElement.__mul__ dividing by one factor's denominator only
     ("src/superq/gamma.py", "denom = da * db", "denom = da",
      "tests/test_gamma.py::test_mul_equals_the_pairwise_rational_products"),
+    # scalar_product shifting each term one bit too far, and a wrapped
+    # element keeping its coefficients over 1 as its integer form
+    ("src/superq/gamma.py", "<< (top - rho.length)", "<< (top - rho.length + 1)",
+     "tests/test_gamma.py::test_scalar_product_equals_the_termwise_rational_sum"),
+    ("src/superq/gamma.py", "result._int = None", "result._int = (1, coeffs)",
+     "tests/test_gamma.py::"
+     "test_the_kept_integer_form_is_the_integer_form_of_its_coefficients"),
+    # the 1s of a monomial cut off by a slice that is empty when there are none
+    ("src/superq/plancherel.py", "parts[:len(parts) - ones]", "parts[:-ones]",
+     "tests/test_plancherel.py::test_moments_equal_the_oracle_cold_and_warm"),
+    # the closed form of average_symbolic_frak halved past degree 10, which
+    # no brute-force oracle of the tests reaches
+    ("src/superq/plancherel.py", "g(mu), factorial(m)))",
+     "g(mu), factorial(m) << (m > 10)))",
+     "tests/test_acceptance.py::"
+     "test_odd_power_sum_averages_have_the_limit_shape_top_coefficient"),
+    # psi_direct squaring c(c - 1) at the outer corners
+    ("src/superq/content.py", "total -= (c * (c + 1)) ** k",
+     "total -= (c * (c - 1)) ** k",
+     "tests/test_content.py::test_psi_direct_equals_the_fraction_corner_sum"),
+    # verify's orthogonality weight one power of 2 too large
+    ("src/superq/verify.py", "[1 << (k - lam.length) for", "[1 << (k + 1 - lam.length) for",
+     "tests/test_acceptance.py::test_criterion_02_character_table_integrity"),
+    # theorems 4.2 and 4.4 asking for their smallest element first
+    ("src/superq/verify.py",
+     "smaller rho there too\n    rhos = _m1_free_partitions(7)[::-1]",
+     "smaller rho there too\n    rhos = _m1_free_partitions(7)",
+     "tests/test_plancherel.py::test_theorems_4_2_and_4_4_walk_about_once_per_mu_and_n"),
+    ("src/superq/verify.py",
+     "fills the moments\n    rhos = _m1_free_partitions(7)[::-1]",
+     "fills the moments\n    rhos = _m1_free_partitions(7)",
+     "tests/test_plancherel.py::test_theorems_4_2_and_4_4_walk_about_once_per_mu_and_n"),
     # verify check 3 comparing brute force only at n <= 1
     ("src/superq/verify.py",
      "for n in range(10):\n            brute = average_bruteforce(f, n)",

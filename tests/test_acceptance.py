@@ -15,8 +15,19 @@ from superq.content import hat_p
 from superq.factorial import p_star
 from superq.frakp import frak_p
 from superq.gamma import GammaElement
-from superq.partitions import OddPartition, enumerate_odd, enumerate_strict, g
-from superq.plancherel import PolynomialInN, average_bruteforce, average_symbolic_frak
+from superq.partitions import (
+    OddPartition,
+    StrictPartition,
+    enumerate_odd,
+    enumerate_strict,
+    g,
+)
+from superq.plancherel import (
+    PolynomialInN,
+    average_bruteforce,
+    average_mu_symbolic_frak,
+    average_symbolic_frak,
+)
 from superq.rational import rat
 
 
@@ -108,6 +119,18 @@ def test_odd_power_sum_averages_have_the_limit_shape_top_coefficient():
         assert average.coefficient(1) == 1, k
         if k:
             assert average.coefficient(2) == 4**k - 1, k
+
+
+def test_deformed_odd_power_sum_averages_have_the_same_top_coefficient():
+    # E_{mu,n}[p_{2k+1}] has the degree and the top falling-factorial
+    # coefficient of E_n[p_{2k+1}]: the limit shape does not see mu
+    for parts in ((1,), (2, 1), (3, 1), (3, 2), (4, 1), (5, 3, 1)):
+        mu = StrictPartition(parts)
+        for k in range(6):
+            average = average_mu_symbolic_frak(GammaElement.p(2 * k + 1), mu)
+            assert average.degree() == k + 1, (mu, k)
+            assert average.coefficient(k + 1) == rat(2**k * comb(2 * k + 1, k), k + 1), \
+                (mu, k)
 
 
 def test_hatp_averages_have_the_catalan_top_coefficient():

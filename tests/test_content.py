@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -217,6 +218,31 @@ def test_psi_direct_matches_gamma_route():
         for n in range(11):
             for lam in enumerate_strict(n):
                 assert psi_direct(k, lam) == element.evaluate(lam)
+
+
+def fraction_corner_sum(k, lam):
+    # inner minus outer corners of {c(c+1)}^k in Fractions, the corners found
+    # by adding a box to, or removing one from, each row (and one empty row)
+    # and keeping the strict results: the box added to a row of length a has
+    # content a, the box removed content a - 1
+    parts = [*lam.parts, 0]
+    total = Fraction(0)
+    for i, a in enumerate(parts):
+        for step, c in ((1, a), (-1, a - 1)):
+            new = [*parts[:i], a + step, *parts[i + 1:]]
+            kept = [x for x in new if x]
+            if min(new) >= 0 and all(x > y for x, y in zip(kept, kept[1:])):
+                total += step * Fraction(c * (c + 1)) ** k
+    return total
+
+
+def test_psi_direct_equals_the_fraction_corner_sum():
+    shapes = [lam for n in range(13) for lam in enumerate_strict(n)]
+    for k in range(1, 7):
+        for lam in shapes:
+            got = psi_direct(k, lam)
+            assert got == fraction_corner_sum(k, lam), (k, lam)
+            assert type(got) is Fraction
 
 
 # --- series ------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import strategies as strat
 from pfaffian_oracle import oracle_q
@@ -55,6 +55,42 @@ def test_scalar_product_examples():
     assert scalar_product(p(3), p(3)) == rat(3, 2)
     assert scalar_product(p(3), p((1, 1, 1))) == 0
     assert scalar_product(p((3, 1, 1)), p((3, 1, 1))) == rat(3, 4)
+
+
+def termwise_scalar_product(f, g):
+    # the per-term rational route: a b z_rho / 2^{l(rho)} for each common rho
+    return sum((a * g._coeffs[rho] * rat(z(rho), 2**rho.length)
+                for rho, a in f._coeffs.items() if rho in g._coeffs), start=rat(0))
+
+
+@given(strat.gamma_elements(), strat.gamma_elements())
+@example(rat(1, 3) * p((3, 1, 1)) + rat(5, 2) * p(3), rat(3, 4) * p((3, 1, 1)) + p(5))
+def test_scalar_product_equals_the_termwise_rational_sum(f, g):
+    # fractional coefficients from the strategy, both orders, a support
+    # shared in full, one disjoint from f's, and the zero element
+    zero = GammaElement.zero()
+    disjoint = GammaElement({rho: c for rho, c in g._coeffs.items()
+                             if rho not in f._coeffs})
+    for a, b in ((f, g), (g, f), (f, f), (f, disjoint), (f, zero), (zero, g)):
+        got = scalar_product(a, b)
+        assert got == termwise_scalar_product(a, b)
+        assert type(got) is Rat
+    assert scalar_product(f, disjoint) == 0
+
+
+@given(strat.gamma_elements(), strat.gamma_elements(), strat.rationals())
+@example(rat(1, 3) * p(3) + p(1), rat(5, 2) * p((3, 1)), rat(2, 7))
+def test_the_kept_integer_form_is_the_integer_form_of_its_coefficients(f, g, c):
+    # every way of building an element, with the forms of the operands
+    # already kept; each form is computed once and then kept
+    f._integer_form()
+    g._integer_form()
+    built = [GammaElement(f._coeffs), GammaElement._wrap(dict(g._coeffs)),
+             f + g, f - g, -f, f * g, c * f, f * c, f ** 2, GammaElement.zero()]
+    for h in built:
+        form = h._integer_form()
+        assert form == integer_form(h._coeffs)
+        assert h._integer_form() is form
 
 
 def test_scalar_product_diagonal_formula():

@@ -20,7 +20,7 @@ from superq.frakp import (
     frak_p_eval,
 )
 from superq.gamma import GammaElement
-from superq import plancherel
+from superq import plancherel, verify
 from superq.partitions import (
     OddPartition,
     StrictPartition,
@@ -342,6 +342,19 @@ def test_the_zero_element_walks_nothing(walks):
     # p_{1,1} - 2 p_1 folds to 0 at n = 2
     assert average_bruteforce(GammaElement({(1, 1): 1, (1,): -2}), 2) == 0
     assert walks == []
+
+
+def test_theorems_4_2_and_4_4_walk_about_once_per_mu_and_n(walks):
+    # the checks ask for their largest element first, so its walk at each
+    # (mu, n) fills the moments of the smaller ones: 80 (mu, n) pairs and
+    # 10 values of n, plus 1 and 2 walks at mu = (), n = 0: there p_1 is 0,
+    # so a monomial of a smaller element can fold away in the largest
+    assert verify.check_deformed_average_constants().ok
+    assert len(walks) == 81
+    walks.clear()
+    plancherel._MOMENTS.clear()
+    assert verify.check_product_average_orthogonality().ok
+    assert len(walks) == 12
 
 
 def test_bad_calls_walk_nothing(walks):
