@@ -51,6 +51,11 @@ from .schurq import character_table, q
 # The formats of a command that prints an element as JSON records or terms.
 PRETTY = ("json", "pretty")
 
+# Default bound on n + |mu| for avg --n: brute force visits every strict
+# partition of that size, and at 80 a command takes about 0.3 s (E_n) or 1 s
+# (a deformed average, which also sweeps the skew counts).
+AVG_N_CAP = 80
+
 
 class UsageError(Exception):
     """Options that parse but do not go together; exit 2 like argparse."""
@@ -191,8 +196,16 @@ def cmd_frak_deg1(args):
 def cmd_avg(args):
     if args.format == "pretty" and not args.symbolic:
         raise UsageError("--format pretty needs --symbolic")
-    element = parse_and_eval(args.f)
+    if args.symbolic and args.cap is not None:
+        raise UsageError("--cap goes with --n")
     mu = StrictPartition.from_text(args.mu) if args.mu is not None else None
+    if not args.symbolic:
+        cap = AVG_N_CAP if args.cap is None else args.cap
+        if mu is None:
+            _check_cap("n", args.n, cap)
+        else:
+            _check_cap("n + |mu|", args.n + mu.size, cap)
+    element = parse_and_eval(args.f)
     if args.symbolic:
         poly = (average_symbolic(element) if mu is None
                 else average_mu_symbolic(element, mu))
@@ -395,6 +408,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         mode.add_argument("--symbolic", action="store_true",
                           help="polynomial in n, all three bases")
         mode.add_argument("--n", type=ascii_int, help="exact value at this n")
+        p.add_argument("--cap", type=ascii_int, default=None,
+                       help=f"largest n + |mu| allowed with --n (default {AVG_N_CAP}: "
+                            "about 0.3 s and 15 MB for E_n, about 1 s and 35 MB "
+                            "for a deformed average; each 10 added multiplies "
+                            "the time by about 2.3)")
 
     if content := nested("content", "content evaluations"):
         content_sub = content.add_subparsers(dest="content_command", required=True)

@@ -37,6 +37,8 @@ from functools import cache
 from math import comb, factorial
 from operator import add
 
+from .rational import rat
+
 
 class Cell(namedtuple("Cell", "row col")):
     """A box (row, col) of a shifted diagram, 1-based."""
@@ -505,13 +507,15 @@ def z(rho: OddPartition) -> int:
     return out
 
 
-def newton_differences(values, label: str = "values") -> list:
+def newton_differences(values, label: str = "values", scale: int = 1) -> list:
     """Delta^j v(0) for j = 0..d from the values v(0), ..., v(d + 1).
 
     A polynomial v of degree <= d is v(x) = sum_j Delta^j v(0) x^(j) / j!.
     The last value is the degree-check node: Delta^{d+1} v(0) must vanish,
     otherwise ``ArithmeticError`` names ``label`` and the nonzero value.
-    Integers stay integers.
+    Integers stay integers.  Values given as scale times v (to keep them
+    integers) give differences scaled alike, and the error names the
+    unscaled Delta^{d+1} v(0).
     """
     diffs = list(values)
     if not diffs:
@@ -525,7 +529,7 @@ def newton_differences(values, label: str = "values") -> list:
     if check:
         raise ArithmeticError(
             f"{label}: not a polynomial of degree <= {last - 1}, the degree-check "
-            f"node gives Delta^{last} = {check}"
+            f"node gives Delta^{last} = {rat(check, scale)}"
         )
     return diffs
 

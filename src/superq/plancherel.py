@@ -39,9 +39,17 @@ One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
 All d + 2 nodes come from one walk, ``_weighted_shapes`` over n = 0..d + 1,
 in which every prefix is itself a shape of a smaller node: f is written in
 integers once per call, p_1 = n + m is folded in per node, and each shape
-adds to the total of its own node.  These walks neither read nor fill the
-moments: through moments, each node would pay one multiply by the weight
-per monomial instead of one per shape, and nothing would be reused.  A
+adds to the total of its own node.  A shape's monomials come from its power
+sums by a prefix plan made once per call (``_prefix_plan``): a monomial of
+two or more parts, and each prefix of one, is the product of its prefix
+and one power sum, so it costs one multiply per shape, and a single-part
+monomial none.  The node's folded coefficients, laid out by the plan's
+slots, meet them in one ``sum(map(mul, ...))``.  The node values stay
+integers: with S = D (d + 1 + m)! g(mu) / m!, S E(n) is the integer
+total_n (d + 1 + m)! / (n + m)!, so the Newton differences run on ints and
+each coefficient is one division by j! S.  These walks neither read nor
+fill the moments: through moments, each node would pay one multiply by the
+weight per monomial instead of one per shape, and nothing would be reused.  A
 version that read each node from the moments made the timed section of the
 ``frak`` benchmark workload 26% slower (7.9 -> 10.0 ms, medians of 30
 alternating cold runs, slower in all 30; a 2-vCPU Xeon VM, Python 3.11).
@@ -389,35 +397,74 @@ def _require_gamma(f):
         )
 
 
-def _interpolate(values: list) -> PolynomialInN:
-    """The polynomial of degree <= d through values E(0), ..., E(d + 1):
-    c_j = Delta^j E(0) / j!, and E(d + 1) is the degree-check node."""
-    diffs = newton_differences(values, "averages at n = 0..d + 1")
-    return PolynomialInN({j: rat(c, factorial(j)) for j, c in enumerate(diffs)})
+def _interpolate(values: list[int], scale: int) -> PolynomialInN:
+    """The polynomial of degree <= d through E(0), ..., E(d + 1), given as
+    the integers values[n] = S E(n) with S = scale: the Newton differences
+    run in integers, c_j = Delta^j (S E)(0) / (j! S), and E(d + 1) is the
+    degree-check node, whose error names the unscaled Delta^{d+1} E(0)."""
+    diffs = newton_differences(values, "averages at n = 0..d + 1", scale)
+    return PolynomialInN({j: rat(c, factorial(j) * scale) for j, c in enumerate(diffs)})
+
+
+def _prefix_plan(monomials, powers: tuple) -> tuple[dict, list]:
+    """(slot, steps) for computing every p_nu of ``monomials`` (ones-free
+    parts tuples) on a shape from its power sums: slot i < len(powers) holds
+    p_{powers[i]}, and step s appends slot len(powers) + s as the product of
+    the slots (i, j) it names, a prefix of a monomial and one power sum, so
+    each monomial of two or more parts, and each of its prefixes, costs one
+    multiply.  ``slot`` maps every nonempty monomial and prefix to its slot."""
+    slot = {(r,): i for i, r in enumerate(powers)}
+    steps = []
+    for nu in monomials:
+        for end in range(2, len(nu) + 1):
+            if nu[:end] not in slot:
+                slot[nu[:end]] = len(slot)
+                steps.append((slot[nu[:end - 1]], slot[nu[end - 1:end]]))
+    return slot, steps
 
 
 def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
     """E_{mu,n}[f] (E_n at mu empty) interpolated from its values at the
     nodes n = 0..d + 1, d = deg f, all from one walk: each shape adds
     w_mu(lambda) sum_nu a_nu p_nu(lambda) to the total of its own node, with
-    the a_nu folded at that node (``_fold``)."""
+    the a_nu folded at that node (``_fold``).
+
+    The p_nu of a shape come from its power sums by ``_prefix_plan``, and
+    the sum over nu is one ``sum(map(mul, ...))`` of the node's folded
+    coefficients, laid out by slot, started at the constant term.  With
+    S = D (hi + m)! g(mu) / m!, hi = d + 1, node n's value times S is the
+    integer total_n (hi + m)! / (n + m)!, so ``_interpolate`` runs in
+    integers and divides once per coefficient."""
     _require_gamma(f)
     hi = max(f.degree(), 0) + 1
+    m = mu.size
     denom, terms = _integer_form(f)
-    powers = _powers(parts for parts, _, _ in terms)
-    index = {r: i for i, r in enumerate(powers)}
-    monomials = [[(a, [index[r] for r in nu]) for nu, a in _fold(terms, n + mu.size)]
-                 for n in range(hi + 1)]
+    monomials = [parts for parts, _, _ in terms]
+    powers = _powers(monomials)
+    slot, steps = _prefix_plan(monomials, powers)
+    # per node, the coefficients of f folded at that node (as ``_fold``)
+    # by slot, and one entry past the slots for the constant term
+    placed = [(slot[parts] if parts else -1, ones, a) for parts, ones, a in terms]
+    rows = []
+    for n in range(hi + 1):
+        row = [0] * (len(slot) + 1)
+        for i, ones, a in placed:
+            row[i] += a * (n + m)**ones
+        rows.append(row)
     totals = [0] * (hi + 1)
+    mul = operator.mul
     for n, weight, sums in _weighted_shapes(mu, 0, hi, powers):
-        value = 0
-        for a, nu in monomials[n]:
-            for i in nu:
-                a *= sums[i]
-            value += a
-        totals[n] += weight * value
-    return _interpolate([_normalise(total, denom, mu, n)
-                         for n, total in enumerate(totals)])
+        if steps:
+            sums = [*sums]
+            for i, j in steps:
+                sums.append(sums[i] * sums[j])
+        row = rows[n]
+        # map stops at the last slot, and the constant term starts the sum
+        totals[n] += weight * sum(map(mul, row, sums), row[-1])
+    top = factorial(hi + m)
+    scale = denom * (top // factorial(m)) * (g(mu) if m else 1)
+    return _interpolate([total * (top // factorial(n + m))
+                         for n, total in enumerate(totals)], scale)
 
 
 def average_symbolic(f: GammaElement) -> PolynomialInN:

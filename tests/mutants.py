@@ -69,6 +69,20 @@ MUTANTS = [
     # the 1s of a monomial cut off by a slice that is empty when there are none
     ("src/superq/plancherel.py", "parts[:len(parts) - ones]", "parts[:-ones]",
      "tests/test_plancherel.py::test_moments_equal_the_oracle_cold_and_warm"),
+    # the prefix plan of _symbolic building a monomial of three or more
+    # parts from its first part instead of its longest proper prefix
+    ("src/superq/plancherel.py", "steps.append((slot[nu[:end - 1]],",
+     "steps.append((slot[nu[:1]],",
+     "tests/test_cli.py::"
+     "test_cli_goldens_of_symbolic_averages_with_multi_part_monomials"),
+    # the integer interpolation without g(mu) in its scale, or with the
+    # falling factor (hi + m)!/(n + m)! of node n one step short
+    ("src/superq/plancherel.py", "(top // factorial(m)) * (g(mu) if m else 1)",
+     "(top // factorial(m))",
+     "tests/test_plancherel.py::test_one_walk_equals_the_walk_per_node"),
+    ("src/superq/plancherel.py", "total * (top // factorial(n + m))",
+     "total * (top // factorial(n + m + 1))",
+     "tests/test_plancherel.py::test_average_symbolic_paper_forms"),
     # the closed form of average_symbolic_frak halved past degree 10, which
     # no brute-force oracle of the tests reaches
     ("src/superq/plancherel.py", "g(mu), factorial(m)))",

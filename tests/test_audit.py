@@ -40,8 +40,8 @@ LISTED = {
         "the per-node route interpolates brute-force values at each node",
     ("plancherel_oracle.py", "superq.plancherel", "average_mu_bruteforce"):
         "the per-node route of the deformed measure, likewise",
-    ("plancherel_oracle.py", "superq.plancherel", "_interpolate"):
-        "Newton interpolation through n = 0..deg f + 1, shared with the walk",
+    ("plancherel_oracle.py", "superq.plancherel", "PolynomialInN"):
+        "the container the per-node route returns, compared with the walk's",
     ("recursive_oracle.py", "superq.factorial", "p_to_pstar_coeffs"):
         "the Stirling system T that P* is solved from; the same sweep as p_star",
     ("recursive_oracle.py", "superq.factorial", "normalize_index"):

@@ -325,6 +325,33 @@ def test_work_budget_can_be_raised(capsys):
         cli_commands.read_golden("enum")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("avg", "--f", "p[1]", "--n", "110"), "n = 110 exceeds the cap 80; raise --cap to allow"),
+    (("avg", "--f", "p[3]", "--mu", "3,1", "--n", "77"),
+     "n + |mu| = 81 exceeds the cap 80; raise --cap to allow"),
+], ids=["E_n", "E_mu_n"])
+def test_avg_past_its_cap_fails_at_once(argv, message):
+    # avg --f p[1] --n 110 walked every strict partition of 110 for about 3 s
+    start = time.perf_counter()
+    assert assert_domain_error_in_subprocess(*argv) == message
+    assert time.perf_counter() - start < 1
+
+
+def test_avg_cap_can_be_raised_and_goes_with_n_only(capsys):
+    code, out, err = run(capsys, "avg", "--f", "p[3]", "--n", "3", "--cap", "2")
+    assert code == 1 and out == "" and "n = 3 exceeds the cap 2" in err
+    assert json.loads(run(capsys, "avg", "--f", "p[3]", "--n", "3", "--cap", "3")[1]) \
+        == {"n": 3, "mu": None, "f": "p[3]", "value": "21"}
+    argv = ("avg", "--f", "hatp[1]", "--mu", "2,1", "--n", "2")
+    code, out, err = run(capsys, *argv, "--cap", "4")
+    assert code == 1 and out == "" and "n + |mu| = 5 exceeds the cap 4" in err
+    assert json.loads(run(capsys, *argv, "--cap", "5")[1])["value"] == "8"
+    with pytest.raises(SystemExit) as exc:
+        main(["avg", "--f", "p[3]", "--symbolic", "--cap", "3"])
+    assert exc.value.code == 2
+    assert "--cap goes with --n" in capsys.readouterr().err
+
+
 def test_enum_streams_its_output():
     # the partitions are written as they are generated: enum 80 peaks at about
     # 17 MB of RSS, against 72 MB when the lists and the JSON text were held.
@@ -488,6 +515,18 @@ def test_cli_goldens(capsys, slug, argv):
 ])
 def test_cli_goldens_through_psi_at_degree_22_and_23(capsys, name, argv):
     # large enough that a sign or a factor 2 slip in Psi or Psi^{-1} shows
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / name
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("avg-symbolic-p3-hatp2-4.out", ["avg", "--f", "(p[3]+hatp[2])^4", "--symbolic"]),
+    ("avg-mu-symbolic-hatp2-3.out", ["avg", "--f", "hatp[2]^3", "--mu", "3,1", "--symbolic"]),
+])
+def test_cli_goldens_of_symbolic_averages_with_multi_part_monomials(capsys, name, argv):
+    # monomials of 0 to 4 parts, so each product of the prefix plan is read
     code, out, _ = run(capsys, *argv)
     assert code == 0
     golden = Path(__file__).resolve().parent / "golden" / name

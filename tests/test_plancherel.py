@@ -465,11 +465,30 @@ def test_one_walk_equals_the_walk_per_node():
 
 
 def test_interpolation_rejects_non_polynomial_values():
-    # E_n[p_2] at n = 0..3 (section 7.2) fits no quadratic: Delta^3 = -4/3
+    # E_n[p_2] at n = 0..3 (section 7.2) fits no quadratic: Delta^3 = -4/3,
+    # named unscaled when the nodes are given as 3 E_n
     p2 = OrdinaryPSumExpr.p(2)
-    values = [average_bruteforce(p2, n) for n in range(4)]
-    with pytest.raises(ArithmeticError, match="-4/3"):
-        _interpolate(values)
+    values = [int(3 * average_bruteforce(p2, n)) for n in range(4)]
+    with pytest.raises(ArithmeticError, match=r"Delta\^3 = -4/3$"):
+        _interpolate(values, 3)
+
+
+@pytest.mark.parametrize("mu", [(), (3, 1)])
+def test_a_bad_node_names_the_unscaled_difference(monkeypatch, mu):
+    # one extra shape at the check node n = 4 of p_3, of weight 1 and with
+    # p_3 = 5, moves E(4) and so Delta^4 E(0) by 5 m! / ((4 + m)! g(mu))
+    mu = StrictPartition(mu)
+    walk = plancherel._weighted_shapes
+
+    def with_a_bad_node(mu, lo, hi, powers):
+        yield from walk(mu, lo, hi, powers)
+        yield hi, 1, (5,)
+
+    monkeypatch.setattr(plancherel, "_weighted_shapes", with_a_bad_node)
+    m = mu.size
+    moved = rat(5 * factorial(m), factorial(4 + m) * g(mu))
+    with pytest.raises(ArithmeticError, match=rf"node gives Delta\^4 = {moved}$"):
+        average_mu_symbolic(p(3), mu)
 
 
 def test_mu_symbolic_with_empty_mu_matches_plain():
