@@ -21,6 +21,7 @@ from .content import OrdinaryPSumExpr, hat_F, hat_p, phi_series_check, psi, psi_
 from .explorer import (
     LAB_CAP,
     P2_CAP,
+    _check_cap,
     deg1_conjecture_scan,
     p2_experiment,
     structure_constants,
@@ -51,9 +52,10 @@ from .schurq import character_table, q
 # The formats of a command that prints an element as JSON records or terms.
 PRETTY = ("json", "pretty")
 
-# Default bound on n + |mu| for avg --n: brute force visits every strict
-# partition of that size, and at 80 a command takes about 0.3 s (E_n) or 1 s
-# (a deformed average, which also sweeps the skew counts).
+# Default bound on the largest shape size avg walks, n + |mu| with --n and
+# deg f + 1 + |mu| with --symbolic: at 80 a command takes about 0.3 s (E_n)
+# or 1 s (a deformed average, which also sweeps the skew counts) with --n,
+# and up to about 6 s (hatp[39]) with --symbolic.
 AVG_N_CAP = 80
 
 
@@ -137,11 +139,6 @@ def cmd_qfunc(args):
     _emit_element(args, q(lam))
 
 
-def _check_cap(name, value, cap):
-    if value > cap:
-        raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise --cap to allow")
-
-
 def cmd_chartable(args):
     _check_cap("k", args.k, args.cap)
     table = character_table(args.k)
@@ -196,17 +193,15 @@ def cmd_frak_deg1(args):
 def cmd_avg(args):
     if args.format == "pretty" and not args.symbolic:
         raise UsageError("--format pretty needs --symbolic")
-    if args.symbolic and args.cap is not None:
-        raise UsageError("--cap goes with --n")
     mu = StrictPartition.from_text(args.mu) if args.mu is not None else None
+    # --cap bounds the largest shapes walked: of size n + |mu| at one n, and
+    # deg f + 1 + |mu| at the last node of a symbolic average
+    m, plus_mu = (0, "") if mu is None else (mu.size, " + |mu|")
     if not args.symbolic:
-        cap = AVG_N_CAP if args.cap is None else args.cap
-        if mu is None:
-            _check_cap("n", args.n, cap)
-        else:
-            _check_cap("n + |mu|", args.n + mu.size, cap)
+        _check_cap("n" + plus_mu, args.n + m, args.cap)
     element = parse_and_eval(args.f)
     if args.symbolic:
+        _check_cap("deg f + 1" + plus_mu, max(element.degree(), 0) + 1 + m, args.cap)
         poly = (average_symbolic(element) if mu is None
                 else average_mu_symbolic(element, mu))
         _emit_element(args, poly, "n^↓{}")
@@ -408,11 +403,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         mode.add_argument("--symbolic", action="store_true",
                           help="polynomial in n, all three bases")
         mode.add_argument("--n", type=ascii_int, help="exact value at this n")
-        p.add_argument("--cap", type=ascii_int, default=None,
-                       help=f"largest n + |mu| allowed with --n (default {AVG_N_CAP}: "
-                            "about 0.3 s and 15 MB for E_n, about 1 s and 35 MB "
-                            "for a deformed average; each 10 added multiplies "
-                            "the time by about 2.3)")
+        p.add_argument("--cap", type=ascii_int, default=AVG_N_CAP,
+                       help="largest shape size walked, n + |mu| with --n and "
+                            "deg f + 1 + |mu| with --symbolic (default "
+                            "%(default)s: with --n about 0.3 s and 15 MB for "
+                            "E_n, about 1 s and 35 MB for a deformed average, "
+                            "each 10 added multiplying the time by about 2.3; "
+                            "with --symbolic up to about 6 s, for hatp[39], "
+                            "while hatp[40] needs --cap 82)")
 
     if content := nested("content", "content evaluations"):
         content_sub = content.add_subparsers(dest="content_command", required=True)

@@ -91,8 +91,9 @@ P2_CAP = 14
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
+    # the one refusal of a work budget, in the library and the CLI alike
     if value > cap:
-        raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise cap= (--cap) to allow")
+        raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise --cap to allow")
 
 
 def _deg1_of(rho: OddPartition) -> int:

@@ -14,14 +14,15 @@ the first kind:
 Both are integer sweeps (``_sweep``): one part at a time, on bitmasks of
 the indices used so far, where a used index vanishes and a new index j
 passes one inversion per used index below it; ``normalize_index`` is their
-test oracle.  ``p_star`` is the s-system, ``psi_iso`` the s-system on the
-P-coefficients of f, and ``expand_in_pstar`` the T-system on them, the b
-with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` = sum_mu b_mu P_mu.
-Both systems, memoised per lambda as dicts keyed by the index masks, sum
-the ints D c_lambda of ``gamma.integer_form`` over one denominator D on
-those masks, and each mu is built once from its mask at the end:
-``expand_in_pstar`` divides by D once per b, and the other
-three go back to the p-basis by one integer row sum, ``schurq._combine_P``.
+test oracle.  ``p_star`` reads the s-system of mu, ``psi_iso`` the
+s-system on the P-coefficients of f, and ``expand_in_pstar`` the T-system
+on them, the b with f = sum_mu b_mu P*_mu; ``psi_iso_inverse(f)`` =
+sum_mu b_mu P_mu.  Both systems are memoised per lambda as dicts keyed by
+the index masks (``_s_system``, ``_t_system``).  On f, they sum the ints
+D c_lambda of ``gamma.integer_form`` over one denominator D on those
+masks, and each mu is built once from its mask at the end:
+``expand_in_pstar`` divides by D once per b, and the other three go back
+to the p-basis by one integer row sum, ``schurq._combine_P``.
 The closed form P*_mu(lambda) = |lambda|^{falling |mu|} g^{lambda/mu} /
 g^lambda is the independent route that pins P*_mu down.
 """
@@ -91,10 +92,6 @@ def _by_partition(masks: dict[int, int]) -> dict[StrictPartition, int]:
     return {StrictPartition._trusted(_mask_parts(mask)): w for mask, w in masks.items()}
 
 
-def _exterior_power(lam: StrictPartition, stirling_row) -> dict[StrictPartition, int]:
-    return _by_partition(_sweep(lam, stirling_row))
-
-
 @cache
 def _s_system(lam: StrictPartition) -> dict[int, int]:
     return _sweep(lam, _stirling1_row)
@@ -113,7 +110,7 @@ def p_to_pstar_coeffs(lam: StrictPartition) -> dict[StrictPartition, int]:
 @cache
 def p_star(mu: StrictPartition) -> GammaElement:
     """P*_mu in the p-basis, from its P-coefficients (the s-system)."""
-    return _combine_P(_exterior_power(mu, _stirling1_row))
+    return _combine_P(_by_partition(_s_system(mu)))
 
 
 def p_star_eval(mu: StrictPartition, lam: StrictPartition) -> Rat:

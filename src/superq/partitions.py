@@ -474,11 +474,7 @@ def g(lam: StrictPartition) -> int:
     in integers; the corner-removal recursion for g^{lam/empty} is its test
     oracle.
     """
-    return _g_parts(lam.parts)
-
-
-def _g_parts(parts: tuple) -> int:
-    # g on the parts of a strict partition, without building the partition.
+    parts = lam.parts
     if len(parts) <= 1:
         return 1  # one row fills one way, however long
     numer = factorial(sum(parts))

@@ -27,9 +27,14 @@ forward sweep of skew counts on bitmask keys (``partitions._skew_layers``),
 read by the walk through the same keys.  The moments live in one dict for
 the life of the process, one int per (mu, n, nu), E_n stored as mu empty;
 a call walks only when it needs a nu that is missing, and then fills every
-missing nu of its size in one walk.  The oracles stay: in the tests, the
-per-lambda sums of ``prob`` (or ``prob_mu``) times ``f.evaluate(lambda)``,
-and for the sweep the corner-removal recursion.
+missing nu of its size in one walk.  A shape's monomials come from its
+power sums by a prefix plan (``_prefix_plan``), the one plan that serves
+the moments and the symbolic nodes below: a monomial of two or more parts,
+and each prefix of one, is the product of its prefix and one power sum, so
+it costs one multiply per shape, and a single-part monomial none.  The
+oracles stay: in the tests, the per-lambda sums of ``prob`` (or
+``prob_mu``) times ``f.evaluate(lambda)``, and for the sweep the
+corner-removal recursion.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
@@ -39,13 +44,10 @@ One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
 All d + 2 nodes come from one walk, ``_weighted_shapes`` over n = 0..d + 1,
 in which every prefix is itself a shape of a smaller node: f is written in
 integers once per call, p_1 = n + m is folded in per node, and each shape
-adds to the total of its own node.  A shape's monomials come from its power
-sums by a prefix plan made once per call (``_prefix_plan``): a monomial of
-two or more parts, and each prefix of one, is the product of its prefix
-and one power sum, so it costs one multiply per shape, and a single-part
-monomial none.  The node's folded coefficients, laid out by the plan's
-slots, meet them in one ``sum(map(mul, ...))``.  The node values stay
-integers: with S = D (d + 1 + m)! g(mu) / m!, S E(n) is the integer
+adds to the total of its own node.  The prefix plan is made once per call,
+and the node's folded coefficients, laid out by its slots, meet a shape's
+monomials in one ``sum(map(mul, ...))``.  The node values stay integers:
+with S = D (d + 1 + m)! g(mu) / m!, S E(n) is the integer
 total_n (d + 1 + m)! / (n + m)!, so the Newton differences run on ints and
 each coefficient is one division by j! S.  These walks neither read nor
 fill the moments: through moments, each node would pay one multiply by the
@@ -286,11 +288,6 @@ def _fold(terms, size: int) -> list[tuple[tuple, int]]:
     return list(folded.items())
 
 
-def _powers(nus) -> tuple:
-    # the r of every p_r that the monomials nus read, ascending
-    return tuple(sorted({r for nu in nus for r in nu}))
-
-
 def _weighted_shapes(mu: StrictPartition, lo: int, hi: int, powers: tuple):
     """(n, w_mu(lambda), (p_r(lambda) for r in powers)) for every strict
     lambda of size n + |mu| that contains mu, lo <= n <= hi: the one place
@@ -327,19 +324,21 @@ _MOMENTS: dict[tuple[tuple, int, tuple], int] = {}
 
 def _moments(mu: StrictPartition, n: int, nus: list[tuple]) -> list[int]:
     """[M(mu, n, nu) for nu in nus], with one walk that fills every nu
-    missing from ``_MOMENTS`` and none when all are there."""
+    missing from ``_MOMENTS`` and none when all are there.  Each shape's
+    p_nu come from its power sums by ``_prefix_plan``, and the constant
+    monomial, which has no slot, is 1."""
     missing = [nu for nu in nus if (mu.parts, n, nu) not in _MOMENTS]
     if missing:
-        powers = _powers(missing)
-        index = {r: i for i, r in enumerate(powers)}
-        rows = [[index[r] for r in nu] for nu in missing]
-        totals = [0] * len(rows)
+        powers, slot, steps = _prefix_plan(missing)
+        places = [slot.get(nu) for nu in missing]
+        totals = [0] * len(missing)
         for _, weight, sums in _weighted_shapes(mu, n, n, powers):
-            for j, row in enumerate(rows):
-                value = 1
-                for i in row:
-                    value *= sums[i]
-                totals[j] += weight * value
+            if steps:
+                sums = [*sums]
+                for i, j in steps:
+                    sums.append(sums[i] * sums[j])
+            for k, i in enumerate(places):
+                totals[k] += weight if i is None else weight * sums[i]
         for nu, total in zip(missing, totals):
             _MOMENTS[mu.parts, n, nu] = total
     return [_MOMENTS[mu.parts, n, nu] for nu in nus]
@@ -406,13 +405,15 @@ def _interpolate(values: list[int], scale: int) -> PolynomialInN:
     return PolynomialInN({j: rat(c, factorial(j) * scale) for j, c in enumerate(diffs)})
 
 
-def _prefix_plan(monomials, powers: tuple) -> tuple[dict, list]:
-    """(slot, steps) for computing every p_nu of ``monomials`` (ones-free
-    parts tuples) on a shape from its power sums: slot i < len(powers) holds
+def _prefix_plan(monomials) -> tuple[tuple, dict, list]:
+    """(powers, slot, steps) for computing every p_nu of ``monomials``
+    (ones-free parts tuples) on a shape from its power sums: ``powers`` are
+    the r of every p_r they read, ascending, slot i < len(powers) holds
     p_{powers[i]}, and step s appends slot len(powers) + s as the product of
     the slots (i, j) it names, a prefix of a monomial and one power sum, so
     each monomial of two or more parts, and each of its prefixes, costs one
     multiply.  ``slot`` maps every nonempty monomial and prefix to its slot."""
+    powers = tuple(sorted({r for nu in monomials for r in nu}))
     slot = {(r,): i for i, r in enumerate(powers)}
     steps = []
     for nu in monomials:
@@ -420,7 +421,7 @@ def _prefix_plan(monomials, powers: tuple) -> tuple[dict, list]:
             if nu[:end] not in slot:
                 slot[nu[:end]] = len(slot)
                 steps.append((slot[nu[:end - 1]], slot[nu[end - 1:end]]))
-    return slot, steps
+    return powers, slot, steps
 
 
 def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
@@ -439,9 +440,7 @@ def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
     hi = max(f.degree(), 0) + 1
     m = mu.size
     denom, terms = _integer_form(f)
-    monomials = [parts for parts, _, _ in terms]
-    powers = _powers(monomials)
-    slot, steps = _prefix_plan(monomials, powers)
+    powers, slot, steps = _prefix_plan([parts for parts, _, _ in terms])
     # per node, the coefficients of f folded at that node (as ``_fold``)
     # by slot, and one entry past the slots for the constant term
     placed = [(slot[parts] if parts else -1, ones, a) for parts, ones, a in terms]

@@ -2,7 +2,9 @@
 
 Every coefficient in this package is an exact ``fractions.Fraction``:
 always in lowest terms, rendered as ``a/b`` with a positive denominator or
-as a bare ``a`` when the denominator is 1.
+as a bare ``a`` when the denominator is 1.  ``rat`` is ``Fraction`` itself:
+``rat(value)`` and ``rat(value, den)`` build a rational from ints, strings
+like ``-4/3`` or rationals.
 """
 
 import re
@@ -13,15 +15,9 @@ BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
+rat = Rat
 
 _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def rat(value, den=None):
-    """Build an exact rational from ints, strings like ``-4/3``, or rationals."""
-    if den is None:
-        return Rat(value)
-    return Rat(value, den)
 
 
 def rat_str(q) -> str:

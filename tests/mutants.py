@@ -16,7 +16,8 @@ occurs exactly once in its file.
 The copies leave ``test_mutants.py`` out: in a mutated copy its old text is
 gone, so it would fail for every mutant and no mutant could survive.  For
 the same reason the command first runs tier-1 on an unmutated copy and
-stops with exit 2 if that fails.
+stops with exit 2 if that fails, printing the failing test from pytest's
+short summary.  The mutated runs print nothing of pytest's.
 """
 
 import os
@@ -30,8 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (file, old text, new text, the test expected to kill the mutant)
 MUTANTS = [
-    # the sweep of factorial._exterior_power: the sign counts the used
-    # indices above j, or an index already used is not skipped
+    # factorial._sweep: the sign counts the used indices above j, or an
+    # index already used is not skipped
     ("src/superq/factorial.py", "(mask & (bit - 1)).bit_count()",
      "(mask & ~(2 * bit - 1)).bit_count()",
      "tests/test_factorial.py::test_sweep_equals_the_walk_over_index_tuples"),
@@ -69,7 +70,11 @@ MUTANTS = [
     # the 1s of a monomial cut off by a slice that is empty when there are none
     ("src/superq/plancherel.py", "parts[:len(parts) - ones]", "parts[:-ones]",
      "tests/test_plancherel.py::test_moments_equal_the_oracle_cold_and_warm"),
-    # the prefix plan of _symbolic building a monomial of three or more
+    # _moments giving the constant monomial 0 instead of 1
+    ("src/superq/plancherel.py", "totals[k] += weight if i is None",
+     "totals[k] += 0 if i is None",
+     "tests/test_plancherel.py::test_moments_equal_the_oracle_cold_and_warm"),
+    # the prefix plan building a monomial of three or more
     # parts from its first part instead of its longest proper prefix
     ("src/superq/plancherel.py", "steps.append((slot[nu[:end - 1]],",
      "steps.append((slot[nu[:1]],",
@@ -142,12 +147,18 @@ def _copy(tmp: str) -> None:
     shutil.copy(ROOT / "pyproject.toml", tmp)
 
 
-def _fails(tmp: str, *args) -> bool:
+def _fails(tmp: str, *args) -> str:
+    """"" when the tests pass in ``tmp``; else the FAILED and ERROR lines of
+    pytest's short summary, which name the failing tests, or its exit code
+    when it printed none."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *args],
         cwd=tmp, env={**os.environ, "PYTHONPATH": "src"},
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return proc.returncode != 0
+        capture_output=True, text=True)
+    if not proc.returncode:
+        return ""
+    lines = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return "\n".join(lines) or f"pytest exited with code {proc.returncode}"
 
 
 def _verdict(path: str, old: str, new: str, test: str) -> str:
@@ -169,8 +180,10 @@ def _verdict(path: str, old: str, new: str, test: str) -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         _copy(tmp)
-        if _fails(tmp, "--continue-on-collection-errors"):
-            print("tier-1 fails on an unmutated copy, so no verdict would mean anything")
+        failures = _fails(tmp, "--continue-on-collection-errors")
+        if failures:
+            print("tier-1 fails on an unmutated copy, so no verdict would mean anything:")
+            print(failures)
             return 2
     survived = 0
     for path, old, new, test in MUTANTS:

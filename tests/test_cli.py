@@ -281,26 +281,22 @@ def test_gskew_on_a_long_row(capsys):
     assert run(capsys, "gskew", "1500", "1") == (0, "1\n", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ("lab", "deg1-scan", "--max", "24"),
-    ("lab", "fstruct", "23", "1"),
-])
-def test_lab_cap_is_a_quick_domain_error(argv):
-    start = time.perf_counter()
-    message = assert_domain_error_in_subprocess(*argv)
-    assert time.perf_counter() - start < 2
-    assert "exceeds the cap 23" in message and "--cap" in message
-
-
 @pytest.mark.parametrize("argv, message", [
     (("pstar", "13,11,9,7,5"), "|mu| = 45 exceeds the cap 30; raise --cap to allow"),
     (("chartable", "40"), "k = 40 exceeds the cap 30; raise --cap to allow"),
     (("lab", "p2", "--max-n", "15"),
-     "max_n = 15 exceeds the cap 14; raise cap= (--cap) to allow"),
+     "max_n = 15 exceeds the cap 14; raise --cap to allow"),
     (("qfunc", "12,10,8,6,4,2"),
      "|lambda| = 42 exceeds the cap 30; raise --cap to allow"),
     (("enum", "150"), "n = 150 exceeds the cap 80; raise --cap to allow"),
-], ids=["pstar", "chartable", "lab-p2", "qfunc", "enum"])
+    (("lab", "deg1-scan", "--max", "24"),
+     "max_total = 24 exceeds the cap 23; raise --cap to allow"),
+    (("lab", "fstruct", "23", "1"),
+     "|sigma| + |tau| = 24 exceeds the cap 23; raise --cap to allow"),
+    (("avg", "--f", "hatp[40]", "--symbolic"),
+     "deg f + 1 = 82 exceeds the cap 80; raise --cap to allow"),
+], ids=["pstar", "chartable", "lab-p2", "qfunc", "enum", "lab-deg1-scan",
+        "lab-fstruct", "avg-symbolic"])
 def test_work_budget_is_a_quick_domain_error(argv, message):
     start = time.perf_counter()
     assert assert_domain_error_in_subprocess(*argv) == message
@@ -329,15 +325,18 @@ def test_work_budget_can_be_raised(capsys):
     (("avg", "--f", "p[1]", "--n", "110"), "n = 110 exceeds the cap 80; raise --cap to allow"),
     (("avg", "--f", "p[3]", "--mu", "3,1", "--n", "77"),
      "n + |mu| = 81 exceeds the cap 80; raise --cap to allow"),
-], ids=["E_n", "E_mu_n"])
+    (("avg", "--f", "p[1]^200", "--symbolic"),
+     "deg f + 1 = 201 exceeds the cap 80; raise --cap to allow"),
+], ids=["E_n", "E_mu_n", "symbolic"])
 def test_avg_past_its_cap_fails_at_once(argv, message):
-    # avg --f p[1] --n 110 walked every strict partition of 110 for about 3 s
+    # avg --f p[1] --n 110 walked every strict partition of 110 for about
+    # 3 s, and avg --f p[1]^200 --symbolic those of 0..201 for over 30 s
     start = time.perf_counter()
     assert assert_domain_error_in_subprocess(*argv) == message
     assert time.perf_counter() - start < 1
 
 
-def test_avg_cap_can_be_raised_and_goes_with_n_only(capsys):
+def test_avg_cap_can_be_raised_in_both_modes(capsys):
     code, out, err = run(capsys, "avg", "--f", "p[3]", "--n", "3", "--cap", "2")
     assert code == 1 and out == "" and "n = 3 exceeds the cap 2" in err
     assert json.loads(run(capsys, "avg", "--f", "p[3]", "--n", "3", "--cap", "3")[1]) \
@@ -346,10 +345,16 @@ def test_avg_cap_can_be_raised_and_goes_with_n_only(capsys):
     code, out, err = run(capsys, *argv, "--cap", "4")
     assert code == 1 and out == "" and "n + |mu| = 5 exceeds the cap 4" in err
     assert json.loads(run(capsys, *argv, "--cap", "5")[1])["value"] == "8"
-    with pytest.raises(SystemExit) as exc:
-        main(["avg", "--f", "p[3]", "--symbolic", "--cap", "3"])
-    assert exc.value.code == 2
-    assert "--cap goes with --n" in capsys.readouterr().err
+    # with --symbolic the cap bounds deg f + 1 + |mu|, the size of the
+    # shapes at the last node
+    argv = ("avg", "--f", "p[3]^3", "--symbolic")
+    code, out, err = run(capsys, *argv, "--cap", "9")
+    assert code == 1 and out == "" and "deg f + 1 = 10 exceeds the cap 9" in err
+    assert run(capsys, *argv, "--cap", "10") == run(capsys, *argv)
+    argv = ("avg", "--f", "hatp[1]", "--mu", "2,1", "--symbolic")
+    code, out, err = run(capsys, *argv, "--cap", "6")
+    assert code == 1 and out == "" and "deg f + 1 + |mu| = 7 exceeds the cap 6" in err
+    assert run(capsys, *argv, "--cap", "7") == run(capsys, *argv)
 
 
 def test_enum_streams_its_output():

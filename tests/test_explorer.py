@@ -255,25 +255,36 @@ _SCAN_PEAK = textwrap.dedent("""
         explorer._packed_rows(n)
         enumerate_odd(n)
     gc.collect()
+    walk, high = explorer._scan_pairs, [0]
+
+    def sampled(max_total):
+        # the traced memory in use at each pair the scan reads
+        for pair in walk(max_total):
+            high[0] = max(high[0], tracemalloc.get_traced_memory()[0])
+            yield pair
+
+    explorer._scan_pairs = sampled
     tracemalloc.start()
     explorer.deg1_conjecture_scan(20)
-    print(tracemalloc.get_traced_memory()[1])
+    print(high[0])
 """)
 
 
 def test_scan_memo_drops_what_no_later_pair_reads():
-    # the traced peak is 0.10 MB when only the 1-chains of the current pair
-    # of ones-free parts are alive, against 1.12 MB for a memo across pairs
-    # pruned at each new |sigma| (Python 3.11); the bound sits between the
-    # two.  Tuples on the interpreter's free lists count too: a partition
-    # and a sort key built by generators per pair lift it to 0.80 MB.
+    # the traced memory in use at each pair, at its largest: 0.07 MB when
+    # only the 1-chains of the current pair of ones-free parts are alive,
+    # against 0.76 MB when _ones_free_terms keeps every product in a cache
+    # (Python 3.11); the bound sits between the two.  A sample, unlike the
+    # traced peak, misses the short-lived blocks, though tuples parked on
+    # the interpreter's free lists still count: a partition built by a
+    # generator per pair lifts it to 0.34 MB.
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SCAN_PEAK],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 800_000
+    assert int(proc.stdout) < 400_000
 
 
 def test_lab_cap():

@@ -4,8 +4,9 @@ from hypothesis import given
 import strategies as strat
 from recursive_oracle import oracle_exterior_power, oracle_p_star
 from superq.factorial import (
-    _exterior_power,
+    _by_partition,
     _s_system,
+    _sweep,
     _t_system,
     _through,
     expand_in_pstar,
@@ -47,7 +48,7 @@ def test_sweep_equals_the_walk_over_index_tuples():
     shapes += [StrictPartition((9, 8, 7, 6, 5, 4, 3)), StrictPartition((12, 10, 8, 6, 4, 2))]
     for lam in shapes:
         for row in (_stirling1_row, _stirling2_row):
-            assert _exterior_power(lam, row) == oracle_exterior_power(lam, row), lam
+            assert _by_partition(_sweep(lam, row)) == oracle_exterior_power(lam, row), lam
 
 
 def test_forward_expansion_is_unitriangular():

@@ -282,6 +282,8 @@ def test_bruteforce_rejects_other_objects():
 @given(st.one_of(gamma_big(), ordinary_exprs()),
        strat.strict_partitions(max_size=4), st.integers(0, 10), st.booleans())
 @example(GammaElement.term((3,), 1), StrictPartition((2, 1)), 3, False)
+@example(GammaElement.term((), 2) + GammaElement.term((5, 3, 1), 1),
+         StrictPartition((2, 1)), 4, True)
 def test_moments_equal_the_oracle_cold_and_warm(f, mu, n, mu_first):
     # E_n at n + |mu| and at n, and E_{mu,n}, in one process, with E_{mu,n}
     # first or last, from an empty memo and then again from the warm one
