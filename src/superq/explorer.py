@@ -53,9 +53,10 @@ row lambda, so the balanced (signed) digits decode exactly.
 ``structure_constants`` and the scan share ``_ones_free_terms`` and
 ``_add_one``, which give the integer d of every coefficient, normalised as
 the Newton difference of that pair.  The scan walks the pairs of ones-free
-parts, and for each the two 1-chains in nested loops: sigma~ u 1^a one step
-per a, and from each of those tau~ u 1^b one step per b.  It reads the slack
-deg1(sigma) + deg1(tau) - (|s| + 2k) off (s, k) alone and builds a record,
+parts (``partitions._ones_free_odd``), and for each the two 1-chains in
+nested loops: sigma~ u 1^a one step per a, and from each of those tau~ u 1^b
+one step per b.  It reads the slack deg1(sigma) + deg1(tau) - (|s| + 2k) off
+(s, k) alone (``partitions._deg1_of`` gives deg1) and builds a record,
 through the same values as ``structure_constants``, only for a violation.
 """
 
@@ -69,7 +70,9 @@ from math import factorial
 from .content import OrdinaryPSumExpr
 from .partitions import (
     OddPartition,
-    enumerate_odd,
+    _deg1_of,
+    _ones_free,
+    _ones_free_odd,
     falling,
     g,
     newton_differences,
@@ -96,10 +99,6 @@ def _check_cap(name: str, value: int, cap: int) -> None:
         raise ValueError(f"{name} = {value} exceeds the cap {cap}; raise --cap to allow")
 
 
-def _deg1_of(rho: OddPartition) -> int:
-    return rho.size + rho.multiplicity(1)
-
-
 class StructureConstantRecord(namedtuple(
         "StructureConstantRecord", "sigma tau rho value deg1_lhs deg1_rhs")):
     """One nonzero coefficient f^rho_{sigma,tau} of frak_p(sigma)*frak_p(tau):
@@ -124,11 +123,6 @@ class StructureConstantRecord(namedtuple(
             "deg1_lhs": self.deg1_lhs,
             "deg1_rhs": self.deg1_rhs,
         }
-
-
-def _ones_free(parts: tuple[int, ...]) -> tuple[int, ...]:
-    # parts are weakly decreasing, so the 1s come last
-    return parts[: len(parts) - parts.count(1)]
 
 
 @cache
@@ -177,9 +171,8 @@ def _newton_terms(sigma: OddPartition, tau: OddPartition) -> dict[tuple, list[in
 
     A nonzero difference at the degree-check node raises ``ArithmeticError``.
     """
-    total = sigma.size + tau.size
     sigma_t, tau_t = _ones_free(sigma.parts), _ones_free(tau.parts)
-    top = total + 1  # the degree-check node
+    top = sigma.size + tau.size + 1  # the degree-check node
     low = max(sigma.size, tau.size)  # below it fp_sigma * fp_tau vanishes
     # A_s(n) / n^{falling |s|} = 2^{l(s)-|s|} S / (z_s (n-|sigma|)! (n-|tau|)!),
     # here over the common denominator (top-|sigma|)! (top-|tau|)!
@@ -190,8 +183,6 @@ def _newton_terms(sigma: OddPartition, tau: OddPartition) -> dict[tuple, list[in
     out = {}
     for s in set().union(*(by_s for by_s, _ in nodes)):
         size = sum(s)
-        if size > total:
-            continue
         diffs = newton_differences(
             [0] * (low - size)
             + [by_s.get(s, 0) * c for by_s, c in nodes[max(size - low, 0):]],
@@ -256,8 +247,7 @@ def _scan_pairs(max_total: int):
     partitions with |sigma| + |tau| <= max_total, sigma first in
     ``term_sort_key`` order, with the terms (s, |s|, d) of fp_sigma * fp_tau
     as ``_add_one`` keeps them; the walk is the module docstring's."""
-    free = [rho.parts for n in range(max_total + 1) for rho in enumerate_odd(n)
-            if not rho.multiplicity(1)]
+    free = [rho.parts for rho in _ones_free_odd(max_total)]
     for i, sigma_t in enumerate(free):
         for tau_t in free[i:]:
             sigma_size, tau_size = sum(sigma_t), sum(tau_t)

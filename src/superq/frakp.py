@@ -18,15 +18,15 @@ from functools import cache
 
 from .factorial import psi_iso, psi_iso_inverse
 from .gamma import GammaElement, SparseTerms
-from .partitions import OddPartition, StrictPartition, falling, g
+from .partitions import OddPartition, StrictPartition, _deg1_of, _ones_free, falling, g
 from .rational import Rat, rat
 from .schurq import character_table
 
 
 def tilde(rho: OddPartition) -> tuple[OddPartition, int]:
     """Strip the parts equal to 1: returns (rho-tilde, m_1(rho))."""
-    kept = tuple(p for p in rho.parts if p != 1)
-    return OddPartition(kept), rho.length - len(kept)
+    kept = _ones_free(rho.parts)
+    return OddPartition._trusted(kept), rho.length - len(kept)
 
 
 def union_ones(rho: OddPartition, k: int) -> OddPartition:
@@ -45,7 +45,7 @@ def deg1(expansion: FrakExpansion) -> int:
     """The filtration degree max(|rho| + m_1(rho)) over the support."""
     if expansion.is_zero():
         raise ValueError("deg1 of the zero element is undefined")
-    return max(rho.size + rho.multiplicity(1) for rho in expansion.support())
+    return max(map(_deg1_of, expansion.support()))
 
 
 @cache

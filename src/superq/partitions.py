@@ -24,6 +24,12 @@ prefix is itself a strict partition, so one walk serves every size of the
 range.  ``g`` and ``g_skew`` still compute one shape at a time, and the
 tests check the walk and the sweep against them.
 
+An odd partition is rho = rho~ u 1^{m_1(rho)}, and the filtration degree of
+fp_rho is deg1(rho) = |rho| + m_1(rho).  ``_ones_free`` (the parts of
+rho~), ``_deg1_of`` and ``_ones_free_odd`` (every rho~ up to a size) are the
+one place these are written; ``frakp``, ``plancherel``, ``explorer`` and
+``verify`` read them from here.
+
 Partitions are immutable, hashable, and typed: a ``StrictPartition`` never
 compares equal to an ``OddPartition`` with the same parts, so the three
 index families cannot be confused as dictionary keys.
@@ -264,6 +270,26 @@ def enumerate_ordinary(n: int) -> tuple[OrdinaryPartition, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return tuple(OrdinaryPartition(t) for t in _ordinary_tuples(n))
+
+
+# --- the 1s: rho = rho~ u 1^{m_1(rho)} --------------------------------------
+
+
+def _ones_free(parts: tuple[int, ...]) -> tuple[int, ...]:
+    # The parts of rho~: parts are weakly decreasing, so the 1s come last.
+    return parts[: len(parts) - parts.count(1)]
+
+
+def _deg1_of(rho: OddPartition) -> int:
+    # The filtration degree |rho| + m_1(rho) of fp_rho.
+    return rho.size + rho.multiplicity(1)
+
+
+def _ones_free_odd(max_size: int) -> list[OddPartition]:
+    """The odd partitions with no part 1 and size <= max_size, by size and
+    then decreasing lexicographic; the empty partition comes first."""
+    return [rho for n in range(max_size + 1) for rho in enumerate_odd(n)
+            if 1 not in rho.parts]
 
 
 # --- shifted diagrams -------------------------------------------------------

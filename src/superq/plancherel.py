@@ -81,6 +81,7 @@ from .partitions import (
     EMPTY_STRICT,
     OddPartition,
     StrictPartition,
+    _ones_free,
     _skew_layers,
     _stirling1_row,
     _stirling2_row,
@@ -258,8 +259,8 @@ def prob_mu(mu: StrictPartition, n: int, lam: StrictPartition) -> Rat:
 def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
     """(D, [(parts of mu~, m_1(mu), a)]) with f = (1/D) sum a p_mu, where D
     and the nonzero integers a are ``gamma.integer_form`` of the
-    coefficients of f, as f keeps it; mu~ is mu without its 1s, which are
-    its trailing parts."""
+    coefficients of f, as f keeps it; mu~ is mu without its 1s
+    (``partitions._ones_free``)."""
     if not isinstance(f, (GammaElement, OrdinaryPSumExpr)):
         raise TypeError(
             "brute-force averages need a GammaElement or an OrdinaryPSumExpr, "
@@ -268,9 +269,8 @@ def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
     denom, numerators = f._integer_form()
     out = []
     for mu, a in numerators.items():
-        parts = mu.parts
-        ones = parts.count(1)
-        out.append((parts[:len(parts) - ones], ones, a))
+        free = _ones_free(mu.parts)
+        out.append((free, mu.length - len(free), a))
     return denom, out
 
 

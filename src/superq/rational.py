@@ -45,7 +45,3 @@ def parse_rat(text: str):
         except (ValueError, ZeroDivisionError):  # 1/0, or past the int digit limit
             pass
     raise ValueError(f"not a rational literal: {text!r}")
-
-
-def is_integral(q) -> bool:
-    return q.denominator == 1

@@ -41,6 +41,9 @@ walk over its parts a:
 (c) for each smaller part c with a + c odd, mu = S ^ 2^a ^ 2^c, and the
     weight +-2 is one more bit of shift.
 
+Each bar adds its shifted packed_r(mu) to one of two sums, the one of its
+sign, and the row is the first sum less the second.
+
 For one r each bar has a part of lambda of its own (the part shortened or
 dropped, or the smaller of the two), so lambda has at most l(lambda)
 r-bars, and |w| <= 2:
@@ -124,7 +127,8 @@ def _sign_bits(width: int, count: int) -> int:
 
 
 def _row_bytes(row, width: int) -> bytes:
-    # the entries of `row` as little-endian two's-complement digits
+    # the entries of `row` as little-endian two's-complement digits, the
+    # one route from a row to its bytes
     code = _ARRAY_CODES.get(width)
     if code:
         digits = array(code, row)
@@ -146,12 +150,7 @@ def _pack_rows(rows: list, width: int) -> list[int]:
     if not rows:
         return []
     sign = _sign_bits(width, len(rows[0]))
-    code = _ARRAY_CODES.get(width)
-    if code and sys.byteorder == "little":  # _row_bytes inline, for speed
-        data = (array(code, row).tobytes() for row in rows)
-    else:
-        data = (_row_bytes(row, width) for row in rows)
-    return [(int.from_bytes(d, "little") ^ sign) - sign for d in data]
+    return [(int.from_bytes(_row_bytes(row, width), "little") ^ sign) - sign for row in rows]
 
 
 def _unpack_row(packed: int, width: int, count: int):
@@ -243,8 +242,8 @@ class CharacterTable:
         rows = []
         for lam, mask in zip(self.strict, self._row_of):
             # the r-bars of lambda for every odd r, by moving bits of its mask;
-            # a weight -1 subtracts, a weight 2 is one more bit of shift
-            total = 0
+            # sums[e] takes the bars of sign (-1)^e, a weight 2 is one more shift
+            sums = [0, 0]
             parts = lam.parts
             for i, a in enumerate(parts):
                 top = 1 << a
@@ -253,25 +252,18 @@ class CharacterTable:
                     bit = 1 << b
                     if not mask & bit:
                         packed, shift = bars[a - b]
-                        if (mask & (top - bit)).bit_count() & 1:
-                            total -= packed[rest | bit] << shift
-                        else:
-                            total += packed[rest | bit] << shift
+                        sums[(mask & (top - bit)).bit_count() & 1] += (
+                            packed[rest | bit] << shift)
                 if a & 1:  # (b): a = r is dropped
                     packed, shift = bars[a]
-                    if (mask & (top - 2)).bit_count() & 1:
-                        total -= packed[rest] << shift
-                    else:
-                        total += packed[rest] << shift
+                    sums[(mask & (top - 2)).bit_count() & 1] += packed[rest] << shift
                 for c in parts[i + 1 :]:  # (c): a and c with a + c = r dropped
                     if (a + c) & 1:
                         bit = 1 << c
                         packed, shift = bars[a + c]
-                        if ((mask & (top - 2 * bit)).bit_count() + c) & 1:
-                            total -= packed[rest ^ bit] << shift + 1
-                        else:
-                            total += packed[rest ^ bit] << shift + 1
-            rows.append(_unpack_row(total, width, count))
+                        sums[((mask & (top - 2 * bit)).bit_count() + c) & 1] += (
+                            packed[rest ^ bit] << shift + 1)
+            rows.append(_unpack_row(sums[0] - sums[1], width, count))
         return rows
 
     def value(self, lam: StrictPartition, rho: OddPartition) -> Rat:

@@ -18,7 +18,7 @@ from .gamma import GammaElement, scalar_product
 from .partitions import (
     OddPartition,
     StrictPartition,
-    enumerate_odd,
+    _ones_free_odd,
     enumerate_strict,
     g,
     z,
@@ -39,13 +39,6 @@ from .schurq import character_table, p_fn, q
 
 # One check's outcome; run_all fills in key and description from CHECKS.
 CheckResult = namedtuple("CheckResult", "ok detail key description", defaults=("", ""))
-
-
-def _m1_free_partitions(max_size: int) -> list[OddPartition]:
-    out = [OddPartition(())]
-    for k in range(2, max_size + 1):
-        out.extend(r for r in enumerate_odd(k) if r.multiplicity(1) == 0)
-    return out
 
 
 def _sample_strict(count: int) -> list[StrictPartition]:
@@ -188,7 +181,7 @@ def check_deformed_average_constants() -> CheckResult:
     mus = [mu for m in range(6) for mu in enumerate_strict(m)]
     # the largest rho first: its brute-force walk at each (mu, n) fills the
     # moments of every smaller rho there too
-    rhos = _m1_free_partitions(7)[::-1]
+    rhos = _ones_free_odd(7)[::-1]
     for mu in mus:
         for rho in rhos:
             expected = frak_p_eval(rho, mu)
@@ -208,7 +201,7 @@ def check_deformed_average_constants() -> CheckResult:
 
 def check_product_average_orthogonality() -> CheckResult:
     # from the largest pair down, so that one walk per n fills the moments
-    rhos = _m1_free_partitions(7)[::-1]
+    rhos = _ones_free_odd(7)[::-1]
     for i, rho in enumerate(rhos):
         for sigma in rhos[i:]:
             symbolic = product_average_check(rho, sigma)

@@ -67,9 +67,13 @@ MUTANTS = [
     ("src/superq/gamma.py", "result._int = None", "result._int = (1, coeffs)",
      "tests/test_gamma.py::"
      "test_the_kept_integer_form_is_the_integer_form_of_its_coefficients"),
-    # the 1s of a monomial cut off by a slice that is empty when there are none
-    ("src/superq/plancherel.py", "parts[:len(parts) - ones]", "parts[:-ones]",
+    # the 1s of a monomial cut off by a slice that is empty when there are
+    # none, or only one of them cut off
+    ("src/superq/partitions.py", "parts[: len(parts) - parts.count(1)]",
+     "parts[: -parts.count(1)]",
      "tests/test_plancherel.py::test_moments_equal_the_oracle_cold_and_warm"),
+    ("src/superq/partitions.py", "- parts.count(1)]", "- min(parts.count(1), 1)]",
+     "tests/test_partitions.py::test_the_ones_split_off_in_one_place"),
     # _moments giving the constant monomial 0 instead of 1
     ("src/superq/plancherel.py", "totals[k] += weight if i is None",
      "totals[k] += 0 if i is None",
@@ -103,12 +107,12 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_02_character_table_integrity"),
     # theorems 4.2 and 4.4 asking for their smallest element first
     ("src/superq/verify.py",
-     "smaller rho there too\n    rhos = _m1_free_partitions(7)[::-1]",
-     "smaller rho there too\n    rhos = _m1_free_partitions(7)",
+     "smaller rho there too\n    rhos = _ones_free_odd(7)[::-1]",
+     "smaller rho there too\n    rhos = _ones_free_odd(7)",
      "tests/test_plancherel.py::test_theorems_4_2_and_4_4_walk_about_once_per_mu_and_n"),
     ("src/superq/verify.py",
-     "fills the moments\n    rhos = _m1_free_partitions(7)[::-1]",
-     "fills the moments\n    rhos = _m1_free_partitions(7)",
+     "fills the moments\n    rhos = _ones_free_odd(7)[::-1]",
+     "fills the moments\n    rhos = _ones_free_odd(7)",
      "tests/test_plancherel.py::test_theorems_4_2_and_4_4_walk_about_once_per_mu_and_n"),
     # verify check 3 comparing brute force only at n <= 1
     ("src/superq/verify.py",
@@ -133,6 +137,9 @@ MUTANTS = [
     # cli.main run as the program leaving the import heap to the collector
     ("src/superq/cli.py", "        gc.freeze()\n", "",
      "tests/test_cli.py::test_main_as_the_program_freezes_the_import_heap"),
+    # a bar of kind (c) in the sum of the other sign
+    ("src/superq/schurq.py", ".bit_count() + c) & 1]", ".bit_count() + c + 1) & 1]",
+     "tests/test_schurq.py::test_bits_moved_on_masks_give_the_sum_over_the_bars"),
     # the table's digit bound without its factor 2
     ("src/superq/schurq.py", "_digit_width(2 *", "_digit_width(1 *",
      "tests/test_schurq.py::test_digit_width_is_the_fewest_bytes_that_hold_the_bound"),

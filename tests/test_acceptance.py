@@ -18,6 +18,7 @@ from superq.gamma import GammaElement
 from superq.partitions import (
     OddPartition,
     StrictPartition,
+    _deg1_of,
     enumerate_odd,
     enumerate_strict,
     g,
@@ -185,7 +186,7 @@ def _term_above_rhs(route):
     # adds fp_{1^k} with deg1 = 2k above deg1(sigma) + deg1(tau)
     def wrong(max_total):
         for sigma, tau, terms in route(max_total):
-            k = explorer._deg1_of(sigma) + explorer._deg1_of(tau) + 1
+            k = _deg1_of(sigma) + _deg1_of(tau) + 1
             yield sigma, tau, [*terms, ((), 0, [0] * k + [1])]
     return wrong
 

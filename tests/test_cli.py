@@ -31,6 +31,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _golden(name):
+    # a golden stdout of tests/golden
+    return (Path(__file__).resolve().parent / "golden" / name).read_bytes()
+
+
 def test_enum(capsys):
     code, out, _ = run(capsys, "enum", "5")
     assert code == 0
@@ -522,8 +527,7 @@ def test_cli_goldens_through_psi_at_degree_22_and_23(capsys, name, argv):
     # large enough that a sign or a factor 2 slip in Psi or Psi^{-1} shows
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    golden = Path(__file__).resolve().parent / "golden" / name
-    assert out.encode("utf-8") == golden.read_bytes()
+    assert out.encode("utf-8") == _golden(name)
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -534,8 +538,7 @@ def test_cli_goldens_of_symbolic_averages_with_multi_part_monomials(capsys, name
     # monomials of 0 to 4 parts, so each product of the prefix plan is read
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    golden = Path(__file__).resolve().parent / "golden" / name
-    assert out.encode("utf-8") == golden.read_bytes()
+    assert out.encode("utf-8") == _golden(name)
 
 
 def test_cli_import_skips_typing_and_dataclasses():
@@ -650,8 +653,34 @@ def test_verify_json_golden_bytes(capsys):
     # every field, key and description included, in a fixed order
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
-    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
-    assert out.encode("utf-8") == golden.read_bytes()
+    assert out.encode("utf-8") == _golden("verify.json")
+
+
+# commands whose bytes must not follow the iteration order of a set or a
+# dict keyed by partitions, which changes with the hash seed
+HASH_SEED_GOLDENS = [
+    (["verify"], cli_commands.read_golden("verify")),
+    (["verify", "--format", "json"], _golden("verify.json")),
+    (["frak", "expand-p", "9,7,5,1,1"], _golden("frak-expand-p-9-7-5-1-1.out")),
+    (["avg", "--f", "(p[3]+hatp[2])^4", "--symbolic"], _golden("avg-symbolic-p3-hatp2-4.out")),
+    (["avg", "--f", "hatp[2]^3", "--mu", "3,1", "--symbolic"],
+     _golden("avg-mu-symbolic-hatp2-3.out")),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_goldens_do_not_depend_on_the_hash_seed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    src = str(Path(superq.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the commands of one seed run at once, each in its own interpreter
+    procs = [subprocess.Popen([sys.executable, "-m", "superq", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv, _ in HASH_SEED_GOLDENS]
+    for (argv, golden), proc in zip(HASH_SEED_GOLDENS, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (argv, err)
+        assert out == golden, argv
 
 
 def test_verify_checks_are_the_traced_checks():

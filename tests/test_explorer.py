@@ -19,7 +19,14 @@ from superq.explorer import (
     structure_constants,
 )
 from superq.frakp import frak_p
-from superq.partitions import OddPartition, enumerate_odd, g, term_sort_key
+from superq.partitions import (
+    OddPartition,
+    _deg1_of,
+    _ones_free,
+    enumerate_odd,
+    g,
+    term_sort_key,
+)
 from superq.plancherel import PolynomialInN, product_average_check
 from superq.rational import rat
 from superq.schurq import character_table
@@ -54,7 +61,7 @@ def test_structure_constants_bookkeeping():
 
 def _peeled_records(sigma, tau):
     # the independent route: expand the Gamma product by peeling
-    deg1 = explorer._deg1_of
+    deg1 = _deg1_of
     records = [
         StructureConstantRecord(sigma, tau, rho, value, deg1(rho), deg1(sigma) + deg1(tau))
         for rho, value in oracle_expand_gamma_in_frak(frak_p(sigma) * frak_p(tau)).items()
@@ -135,7 +142,7 @@ def test_scan_equals_the_folded_structure_constants(monkeypatch):
     report = deg1_conjecture_scan(6)
     assert report == _folded_report(6)
     ones = [s.multiplicity(1) + t.multiplicity(1) for s, t in _pairs(6)
-            if {explorer._ones_free(s.parts), explorer._ones_free(t.parts)} == {(), (3,)}]
+            if {_ones_free(s.parts), _ones_free(t.parts)} == {(), (3,)}]
     assert len(report.violations) == sum(m + 1 for m in ones) == 20
     assert report.min_slack < 0
 

@@ -16,8 +16,12 @@ from superq.partitions import (
     EMPTY_STRICT,
     Cell,
     OddPartition,
+    OrdinaryPartition,
     StrictPartition,
+    _deg1_of,
     _mask,
+    _ones_free,
+    _ones_free_odd,
     _stirling1_row,
     _stirling2_row,
     _strict_walk,
@@ -120,6 +124,13 @@ def test_partition_types_are_distinct():
     assert hash(StrictPartition((1,))) != hash(OddPartition((1,)))
 
 
+def test_length_and_truth_are_those_of_the_parts():
+    assert len(StrictPartition((5, 4, 2))) == 3 and len(OddPartition((3, 1, 1, 1))) == 4
+    assert len(OddPartition(())) == 0
+    assert OrdinaryPartition((2, 2)) and OddPartition((1,))
+    assert not StrictPartition(()) and not OddPartition(())
+
+
 def test_text_round_trip():
     lam = StrictPartition((5, 4, 2))
     assert str(lam) == "5,4,2"
@@ -166,6 +177,22 @@ def test_enumerated_partitions_equal_the_checked_ones():
                        (OddPartition, (1, 3))):
         with pytest.raises(ValueError):
             cls(parts)
+
+
+def test_the_ones_split_off_in_one_place():
+    # rho = rho~ u 1^{m_1(rho)}: rho~ is every part but the 1s, at any
+    # multiplicity, and deg1(rho) = |rho| + m_1(rho)
+    for n in range(13):
+        for partition in (*enumerate_odd(n), *enumerate_ordinary(n)):
+            parts = partition.parts
+            free = tuple(p for p in parts if p != 1)
+            assert _ones_free(parts) == free
+            if isinstance(partition, OddPartition):
+                assert _deg1_of(partition) == n + len(parts) - len(free)
+    assert _deg1_of(OddPartition((5, 3, 1, 1))) == 12
+    # the odd partitions with no 1s, by size, each size in enumeration order
+    assert [rho.parts for rho in _ones_free_odd(9)] == [
+        (), (3,), (5,), (3, 3), (7,), (5, 3), (9,), (3, 3, 3)]
 
 
 def test_enumeration_is_decreasing_lex():

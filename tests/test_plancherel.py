@@ -111,6 +111,22 @@ def test_poly_examples():
     assert PolynomialInN.constant(5).degree() == 0
 
 
+def test_poly_falling_view_and_scalar_subtraction():
+    coeffs = {2: rat(3), 1: rat(1)}
+    poly = PolynomialInN.from_falling(coeffs)
+    assert poly == PolynomialInN(coeffs)
+    view = poly.falling_coeffs()
+    assert view == coeffs
+    view[0] = rat(5)  # a copy: the polynomial keeps its terms
+    assert poly.falling_coeffs() == coeffs
+    assert poly - 1 == PolynomialInN({2: 3, 1: 1, 0: -1})
+    assert 1 - poly == PolynomialInN({2: -3, 1: -1, 0: 1})
+    assert rat(1, 2) - poly - rat(1, 2) == -poly
+    for n in range(6):
+        assert (poly - 4).evaluate(n) == poly.evaluate(n) - 4
+        assert (4 - poly).evaluate(n) == 4 - poly.evaluate(n)
+
+
 def test_falling_shifted():
     # (n + c)^(k) against direct evaluation
     for shift in range(-6, 7):

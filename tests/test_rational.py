@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import superq
-from superq.rational import BACKEND, Rat, is_integral, parse_rat, rat, rat_str
+from superq.rational import BACKEND, Rat, parse_rat, rat, rat_str
 
 
 def test_backend_is_known():
@@ -37,11 +37,6 @@ def test_rat_str_canonical():
                  "", "1/", "/2", "1/0"]:
         with pytest.raises(ValueError, match="not a rational literal"):
             parse_rat(text)
-
-
-def test_is_integral():
-    assert is_integral(rat(6, 3))
-    assert not is_integral(rat(1, 3))
 
 
 def _env_with_src():
