@@ -32,7 +32,7 @@ from .frakp import deg1, expand_gamma_in_frak, expand_p_in_frak, frak_p_eval
 from .partitions import (
     OddPartition,
     StrictPartition,
-    _odd_tuples,
+    _repeated_tuples,
     _strict_tuples,
     g,
     g_skew,
@@ -107,7 +107,7 @@ def cmd_enum(args):
     sys.stdout.write(f'{{"n": {args.n}, "strict": ')
     _write_json_list(_strict_tuples(args.n))
     sys.stdout.write(', "odd": ')
-    _write_json_list(_odd_tuples(args.n))
+    _write_json_list(_repeated_tuples(args.n, 2))
     sys.stdout.write("}\n")
 
 

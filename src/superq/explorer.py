@@ -81,7 +81,7 @@ from .partitions import (
 )
 from .plancherel import average_bruteforce
 from .rational import Rat, rat, rat_str
-from .schurq import _pack_rows, _unpack_row, character_table
+from .schurq import _digit_width, _pack_rows, _unpack_row, character_table
 
 # Default bound on |sigma| + |tau| for the lab: the sums at the last node
 # need character_table(cap + 1), and a whole scan to the cap takes about
@@ -135,16 +135,17 @@ def _packed_rows(n: int) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
     Returns (b, the weighted packed rows in table order, the m_1-free parts
     of each rho_j).  Every sum S of ``_spin_sums`` obeys |S| <= sum_lambda
     h(lambda) M_lambda^3, where M_lambda is the largest |X^lambda_rho| in row
-    lambda, and B/2 exceeds that bound, so the signed digits of each weighted
-    row and of sum_lambda x_lambda y_lambda h(lambda) row_lambda are exactly
-    what they stand for.
+    lambda.  b is ``schurq._digit_width`` of that bound, so B/2 exceeds it
+    (rounding b up to a width ``array`` holds only widens the range), and
+    the signed digits of each weighted row and of sum_lambda x_lambda
+    y_lambda h(lambda) row_lambda are exactly what they stand for.
     """
     table = character_table(n)
     rows = table._rows
     fact = factorial(n)
     weights = [2 ** (n - lam.length) * fact // g(lam) for lam in table.strict]
     bound = sum(h * max(map(abs, row)) ** 3 for h, row in zip(weights, rows))
-    width = (bound.bit_length() + 8) // 8  # so that B/2 = 2^{8 b - 1} > bound
+    width = _digit_width(bound)
     packed = tuple(h * row for h, row in zip(weights, _pack_rows(rows, width)))
     return width, packed, tuple(_ones_free(rho.parts) for rho in table.odd)
 

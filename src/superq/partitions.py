@@ -9,9 +9,11 @@ that read a polynomial off its values at 0, 1, 2, ...).
 The enumerations run by successor steps in decreasing lexicographic order
 on one list (Knuth, TAOCP Vol. 4A, 7.2.1.4): pop the parts that cannot
 shrink, lower the last part that can, and refill the freed sum greedily
-with the largest parts allowed.  They use no recursion and O(length)
-working memory; the recursive descent on the largest part is their test
-oracle.
+with the largest parts allowed.  There are two steps: one for the strict
+partitions, and one for the partitions whose parts may repeat, which shrinks
+a part by a ``step`` argument, 2 for the odd partitions and 1 for all of
+them.  They use no recursion and O(length) working memory; the recursive
+descent on the largest part is their test oracle.
 
 Skew counts g^{lambda/mu} come from a forward sweep that adds one cell per
 step to every shape and sums the counts arriving at the same shape; the
@@ -207,18 +209,20 @@ def _strict_tuples(n):
             return
 
 
-def _odd_tuples(n):
-    # As _strict_tuples: every part above 1 can shrink, by 2.  The fill
-    # repeats the largest odd part allowed, and a remainder r that is even
-    # ends in (r - 1, 1).  n | 1 is a harmless bound when n is even.
-    parts, rest, top = [], n, n | 1
+def _repeated_tuples(n, step):
+    # As _strict_tuples, for parts that may repeat: every part is 1 mod step
+    # (step 2: the odd partitions, step 1: all of them), and every part above
+    # 1 can shrink, by step.  The fill repeats the largest part allowed, top,
+    # and writes a remainder r < top as its largest allowed part,
+    # r - (r - 1) % step, and a 1 when that leaves one.  The first top is the
+    # least allowed part >= n, and at least 1.
+    parts, rest, top = [], n, max(n + (1 - n) % step, 1)
     while True:
         repeat, r = divmod(rest, top)
         parts += [top] * repeat
-        if r % 2:
-            parts.append(r)
-        elif r:
-            parts += (r - 1, 1)
+        if r:
+            head = r - (r - 1) % step
+            parts += (head, 1) if head < r else (head,)
         yield tuple(parts)
         # the 1s come last and cannot shrink; the part before them can
         ones = parts.index(1) if parts and parts[-1] == 1 else len(parts)
@@ -227,25 +231,7 @@ def _odd_tuples(n):
         top = parts[ones - 1]
         rest = len(parts) - ones + top
         del parts[ones - 1:]
-        top -= 2
-
-
-def _ordinary_tuples(n):
-    # As _odd_tuples, with every part allowed and lowered by 1.
-    parts, rest, top = [], n, max(n, 1)
-    while True:
-        repeat, r = divmod(rest, top)
-        parts += [top] * repeat
-        if r:
-            parts.append(r)
-        yield tuple(parts)
-        ones = parts.index(1) if parts and parts[-1] == 1 else len(parts)
-        if not ones:
-            return
-        top = parts[ones - 1]
-        rest = len(parts) - ones + top
-        del parts[ones - 1:]
-        top -= 1
+        top -= step
 
 
 @cache
@@ -261,7 +247,7 @@ def enumerate_odd(n: int) -> tuple[OddPartition, ...]:
     """All odd partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(map(OddPartition._trusted, _odd_tuples(n)))
+    return tuple(map(OddPartition._trusted, _repeated_tuples(n, 2)))
 
 
 @cache
@@ -269,7 +255,7 @@ def enumerate_ordinary(n: int) -> tuple[OrdinaryPartition, ...]:
     """All partitions of n, decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(OrdinaryPartition(t) for t in _ordinary_tuples(n))
+    return tuple(OrdinaryPartition(t) for t in _repeated_tuples(n, 1))
 
 
 # --- the 1s: rho = rho~ u 1^{m_1(rho)} --------------------------------------

@@ -54,12 +54,14 @@ The digit width b of a table is the fewest bytes whose signed range holds
 this bound for every entry, rounded up to 1, 2, 4, 8 or 16 bytes where one
 of those suffices.  Of tables 1..30, only table 25 gets its width from the
 factor 2: its bound 2 * 6 * 232,973,440 = 2,795,681,280 needs 8-byte digits,
-while its largest entry, 749,892,000, fits in 4 bytes.  Digits are two's
-complement: rows of 1-, 2-, 4- and 8-byte digits are written and read by
-``array``, rows of 16-byte digits
-(from table 41 on) by two 8-byte ``array``s, an unsigned low word and a
-signed high word, and wider ones entry by entry by ``int.to_bytes`` and
-``int.from_bytes``.  Reading a packed row adds
+while its largest entry, 749,892,000, fits in 4 bytes.  Digits are
+little-endian two's complement.  The byte order is decided once, in
+``_ARRAY_CODES``: on a little-endian machine, where an ``array``'s bytes
+are such digits, rows of 1-, 2-, 4- and 8-byte digits are written and read
+by ``array``, and rows of 16-byte digits (from table 41 on) by an
+``array`` of two signed 8-byte words per digit, the low word first.  On
+any other machine, and for wider digits, rows go entry by entry by
+``int.to_bytes`` and ``int.from_bytes``.  Reading a packed row adds
 2^{8 b - 1} to every digit, which makes each digit nonnegative, and flips
 those bits back by one XOR, which leaves the bytes of the two's-complement
 digits; writing a row undoes both.
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
+from functools import cache, partial
 from itertools import chain, groupby
 
 from .gamma import GammaElement, integer_form, scalar_product
@@ -109,8 +111,28 @@ def q_onerow(k: int) -> GammaElement:
     )
 
 
-_ARRAY_CODES = {array(code).itemsize: code for code in "bhiq"}
 _WORD = 2**64 - 1
+
+
+def _two_words(row) -> array:
+    # 16-byte digits as two signed words each, the low word first
+    return array("q", [w for x in row for w in (((x + 2**63) & _WORD) - 2**63, x >> 64)])
+
+
+def _from_two_words(data: bytes) -> list[int]:
+    words = array("q", data)
+    return [(high << 64) + (low & _WORD) for low, high in zip(words[::2], words[1::2])]
+
+
+# width -> (a row as an array whose bytes are its digits, the digits of such
+# bytes), for the widths ``array`` reads and writes; the one byte-order
+# decision: an array's bytes are little-endian digits only on a
+# little-endian machine, so elsewhere the map is empty and every width goes
+# digit by digit
+_ARRAY_CODES = {}
+if sys.byteorder == "little":
+    _ARRAY_CODES = {array(code).itemsize: (partial(array, code),) * 2 for code in "bhiq"}
+    _ARRAY_CODES[16] = _two_words, _from_two_words
 
 
 def _digit_width(bound: int) -> int:
@@ -129,18 +151,10 @@ def _sign_bits(width: int, count: int) -> int:
 def _row_bytes(row, width: int) -> bytes:
     # the entries of `row` as little-endian two's-complement digits, the
     # one route from a row to its bytes
-    code = _ARRAY_CODES.get(width)
-    if code:
-        digits = array(code, row)
-    elif width == 16:  # an unsigned low word and a signed high word each
-        digits = array("Q", bytes(16 * len(row)))
-        digits[::2] = array("Q", [x & _WORD for x in row])
-        digits[1::2] = array("Q", array("q", [x >> 64 for x in row]).tobytes())
-    else:
-        return b"".join(x.to_bytes(width, "little", signed=True) for x in row)
-    if sys.byteorder == "big":
-        digits.byteswap()
-    return digits.tobytes()
+    codec = _ARRAY_CODES.get(width)
+    if codec:
+        return codec[0](row).tobytes()
+    return b"".join(x.to_bytes(width, "little", signed=True) for x in row)
 
 
 def _pack_rows(rows: list, width: int) -> list[int]:
@@ -155,21 +169,16 @@ def _pack_rows(rows: list, width: int) -> list[int]:
 
 def _unpack_row(packed: int, width: int, count: int):
     """The `count` signed digits of `width` bytes of ``_pack_rows``, in order
-    (an ``array`` for digits of up to 8 bytes, else a list); exact whenever
-    every digit of `packed`, a sum of packed rows, is in range."""
+    (an ``array`` for the widths of ``_ARRAY_CODES`` up to 8 bytes, else a
+    list); exact whenever every digit of `packed`, a sum of packed rows, is
+    in range."""
     sign = _sign_bits(width, count)
     data = ((packed + sign) ^ sign).to_bytes(width * count, "little")
-    code = _ARRAY_CODES.get(width)
-    if code is None and width != 16:
-        return [int.from_bytes(data[i : i + width], "little", signed=True)
-                for i in range(0, len(data), width)]
-    digits = array(code or "Q", data)
-    if sys.byteorder == "big":
-        digits.byteswap()
-    if code:
-        return digits
-    high = array("q", digits[1::2].tobytes())  # the signed high words
-    return [low + (top << 64) for low, top in zip(digits[::2], high)]
+    codec = _ARRAY_CODES.get(width)
+    if codec:
+        return codec[1](data)
+    return [int.from_bytes(data[i : i + width], "little", signed=True)
+            for i in range(0, len(data), width)]
 
 
 @cache
@@ -208,8 +217,8 @@ class CharacterTable:
     The row of lambda is one packed sum over its r-bars, for every odd r,
     of rows of ``character_table(k - r)`` (see the module docstring), and it
     is kept as decoded: an ``array`` of the table's digit width, or a list
-    of ints for digits of 16 bytes or more.  The rows are the only copy of
-    the values: ``_row_of`` finds a row by the bitmask of lambda
+    of ints for digits of 16 bytes or more, or on a machine that is not
+    little-endian.  The rows are the only copy of the values: ``_row_of`` finds a row by the bitmask of lambda
     (``partitions._mask``), ``_col_of`` an entry by the parts of rho, and
     ``value`` reads one entry through the view ``_values`` as a Rat.
     """
@@ -282,12 +291,14 @@ def character_table(k: int) -> CharacterTable:
     return CharacterTable(k)
 
 
+def _check_sizes(lam: StrictPartition, rho: OddPartition) -> None:
+    if lam.size != rho.size:
+        raise ValueError(f"size mismatch: |lambda|={lam.size} but |rho|={rho.size}")
+
+
 def character(lam: StrictPartition, rho: OddPartition) -> Rat:
     """X^lambda_rho, read off the bar-removal table."""
-    if lam.size != rho.size:
-        raise ValueError(
-            f"size mismatch: |lambda|={lam.size} but |rho|={rho.size}"
-        )
+    _check_sizes(lam, rho)
     return character_table(lam.size).value(lam, rho)
 
 
@@ -297,10 +308,7 @@ def character_via_scalar(lam: StrictPartition, rho: OddPartition) -> Rat:
     Q_lambda is read off the table, so this agrees with ``character`` by
     construction; the tests compare it against Q_lambda built by Pfaffians.
     """
-    if lam.size != rho.size:
-        raise ValueError(
-            f"size mismatch: |lambda|={lam.size} but |rho|={rho.size}"
-        )
+    _check_sizes(lam, rho)
     return scalar_product(GammaElement.p(rho), q(lam))
 
 

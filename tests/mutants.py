@@ -143,6 +143,22 @@ MUTANTS = [
     # the table's digit bound without its factor 2
     ("src/superq/schurq.py", "_digit_width(2 *", "_digit_width(1 *",
      "tests/test_schurq.py::test_digit_width_is_the_fewest_bytes_that_hold_the_bound"),
+    # the digit-by-digit route, taken for widths array lacks and on every
+    # machine that is not little-endian, reading unsigned digits
+    ("src/superq/schurq.py", 'data[i : i + width], "little", signed=True)',
+     'data[i : i + width], "little", signed=False)',
+     "tests/test_schurq.py::test_digit_by_digit_route_equals_the_array_route"),
+    # the successor step writing an odd remainder as an even part and a 1
+    ("src/superq/partitions.py", "head = r - (r - 1) % step", "head = r - r % step",
+     "tests/test_partitions.py::test_successor_steps_equal_the_recursive_descent"),
+    # the interpolated averages halved past degree 12, which only the closed
+    # form of E_n[hatp_k] reaches
+    ("src/superq/plancherel.py", "rat(c, factorial(j) * scale)",
+     "rat(c, factorial(j) * scale << (j > 12))",
+     "tests/test_acceptance.py::test_hatp_averages_have_a_closed_form"),
+    # enum refusing n = 0, its smallest valid input
+    ("src/superq/cli.py", "if args.n < 0", "if args.n <= 0",
+     "tests/test_cli.py::test_smallest_inputs_and_first_refused_values"),
 ]
 
 

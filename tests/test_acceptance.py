@@ -27,6 +27,7 @@ from superq.plancherel import (
     PolynomialInN,
     average_bruteforce,
     average_mu_symbolic_frak,
+    average_symbolic,
     average_symbolic_frak,
 )
 from superq.rational import rat
@@ -141,6 +142,30 @@ def test_hatp_averages_have_the_catalan_top_coefficient():
         average = average_symbolic_frak(hat_p(k))
         assert average.degree() == k + 1, k
         assert average.coefficient(k + 1) == rat(comb(2 * k, k), (k + 1) ** 2), k
+
+
+def _han_xiong_closed_form(k):
+    # E_n[hatp_k] = sum_{j=1..k} Cat(j) h_{k-j}(T_1, ..., T_j) n^(j+1) / (j+1)
+    # with T_a = a(a+1)/2, from integers alone; h[m] holds the complete
+    # homogeneous h_m(T_1, ..., T_j) as one variable T_j is added per j
+    h = [1] + [0] * k
+    coeffs = {}
+    for j in range(1, k + 1):
+        t = j * (j + 1) // 2
+        for m in range(1, k + 1):
+            h[m] += t * h[m - 1]
+        coeffs[j + 1] = rat(comb(2 * j, j) // (j + 1) * h[k - j], j + 1)
+    return PolynomialInN(coeffs)
+
+
+def test_hatp_averages_have_a_closed_form():
+    # both routes, interpolation to k = 20 and the P* expansion to k = 18,
+    # agree with the closed form coefficient for coefficient
+    for k in range(1, 21):
+        closed = _han_xiong_closed_form(k)
+        assert average_symbolic(hat_p(k)) == closed, k
+        if k <= 18:
+            assert average_symbolic_frak(hat_p(k)) == closed, k
 
 
 def test_parts_equal_to_1_are_linear_factors():

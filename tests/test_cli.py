@@ -210,6 +210,59 @@ def test_negative_chartable_degree_is_a_domain_error(capsys):
     assert json.loads(err)["error"]["message"] == "k must be nonnegative"
 
 
+_SMALLEST = [
+    (("enum", "0"), '{"n": 0, "strict": [""], "odd": [""]}\n'),
+    (("g", ""), "1\n"),
+    (("gskew", "", ""), "1\n"),
+    (("prob", "0", ""), '{"n": 0, "lambda": "", "prob": "1"}\n'),
+    (("chartable", "0"), "lambda/rho,\n,1\n"),
+    (("qfunc", ""), '[{"partition": "", "coeff": "1"}]\n'),
+    (("pstar", ""), '[{"partition": "", "coeff": "1"}]\n'),
+    (("pstar-eval", "", ""), "1\n"),
+    (("frak", "expand-p", ""), '[{"partition": "", "coeff": "1"}]\n'),
+    (("frak", "eval", "", ""), "1\n"),
+    (("frak", "deg1", "1"), "0\n"),
+    (("avg", "--f", "1", "--n", "0"), '{"n": 0, "mu": null, "f": "1", "value": "1"}\n'),
+    (("content", "hatp", "0"), '[{"partition": "1", "coeff": "1"}]\n'),
+    (("psi", "1"), '[{"partition": "1", "coeff": "2"}]\n'),
+    (("phi-check", "", "1"), '{"lambda": "", "order": 1, "identity_holds": true}\n'),
+    (("lab", "deg1-scan", "--max", "2"),
+     '{"max_total": 2, "pairs_scanned": 1, "records_checked": 2, "min_slack": 0, '
+     '"max_slack": 2, "violations_found": 0, "violations": [], '
+     '"conjecture_holds_in_range": true}\n'),
+    (("lab", "p2", "--max-n", "6"),
+     '{"max_n": 6, "values": {"0": "0", "1": "1", "2": "4", "3": "23/3", "4": "12", '
+     '"5": "17", "6": "1016/45"}, "fit_nodes": [1, 2, 3], '
+     '"residuals": {"4": "0", "5": "0", "6": "-4/45"}, "degree2_fit_fails": true}\n'),
+    (("lab", "fstruct", "", ""),
+     '{"sigma": "", "tau": "", "records": [{"sigma": "", "tau": "", "rho": "", '
+     '"value": "1", "deg1_lhs": 0, "deg1_rhs": 0}]}\n'),
+]
+
+_FIRST_REFUSED = [
+    (("enum", "-1"), "n must be nonnegative"),
+    (("psi", "0"), "k must be positive"),
+    (("phi-check", "", "0"), "order must be positive"),
+    (("lab", "deg1-scan", "--max", "1"), "max_total must be at least 2"),
+    (("lab", "p2", "--max-n", "5"), "max_n must be at least 6 to cover the reference table"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _SMALLEST + _FIRST_REFUSED,
+                         ids=[" ".join(a or "''" for a in argv)
+                              for argv, _ in _SMALLEST + _FIRST_REFUSED])
+def test_smallest_inputs_and_first_refused_values(capsys, argv, expected):
+    # each subcommand's smallest valid input (n = 0, the empty partition,
+    # k = 0 or 1, the least scan) exits 0 with these bytes; one step below
+    # it, where the domain has an edge, exits 1 with one stderr line
+    code, out, err = run(capsys, *argv)
+    if (argv, expected) in _SMALLEST:
+        assert (code, out, err) == (0, expected, "")
+    else:
+        error = {"error": {"kind": "domain", "message": expected}}
+        assert (code, out, err) == (1, "", json.dumps(error) + "\n")
+
+
 def superq_in_subprocess(*argv, module="superq"):
     env = dict(os.environ)
     src = str(Path(superq.__file__).parents[1])

@@ -206,8 +206,8 @@ def test_successor_steps_equal_the_recursive_descent():
     # tuple for tuple, in order; the cached enumerations only wrap the tuples
     for n in range(41):
         assert list(partitions._strict_tuples(n)) == list(oracle_strict_tuples(n, n))
-        assert list(partitions._odd_tuples(n)) == list(oracle_odd_tuples(n, n))
-        assert list(partitions._ordinary_tuples(n)) == list(oracle_ordinary_tuples(n, n))
+        assert list(partitions._repeated_tuples(n, 2)) == list(oracle_odd_tuples(n, n))
+        assert list(partitions._repeated_tuples(n, 1)) == list(oracle_ordinary_tuples(n, n))
     for n in range(13):
         assert [lam.parts for lam in enumerate_strict(n)] == list(oracle_strict_tuples(n, n))
         assert [rho.parts for rho in enumerate_odd(n)] == list(oracle_odd_tuples(n, n))

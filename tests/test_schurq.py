@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import superq
+import superq.schurq as schurq
 from hypothesis import given, strategies as st
 
 from pfaffian_oracle import oracle_q, oracle_table
@@ -210,6 +211,40 @@ def test_row_codec_round_trips(width):
         _pack_rows([[top + 2]], width)
 
 
+@pytest.mark.parametrize("width", range(1, 21))
+def test_digit_by_digit_route_equals_the_array_route(width, monkeypatch):
+    # with _ARRAY_CODES empty, as on a machine that is not little-endian,
+    # every width goes digit by digit; rows of the extreme digits pack,
+    # sum and unpack to the same integers and entries as through array
+    low, high = -(1 << 8 * width - 1), (1 << 8 * width - 1) - 1
+    a = [low, high, 0, -1, 1, low, high, low + 1]
+    b = [high, low, -1, 0, 1, 0, -high, -1]
+
+    def route():
+        packed = _pack_rows([a, b], width)
+        rows = [_unpack_row(x, width, len(a)) for x in (*packed, sum(packed))]
+        return packed, [list(row) for row in rows]
+
+    through_arrays = route()
+    assert through_arrays[1] == [a, b, [x + y for x, y in zip(a, b)]]
+    monkeypatch.setattr(schurq, "_ARRAY_CODES", {})
+    assert route() == through_arrays
+
+
+def test_tables_built_digit_by_digit_equal_the_array_tables(monkeypatch):
+    expected = [[list(row) for row in character_table(k)._rows] for k in range(31)]
+    monkeypatch.setattr(schurq, "_ARRAY_CODES", {})
+    character_table.cache_clear()
+    try:
+        for k in range(31):
+            rows = character_table(k)._rows
+            assert [list(row) for row in rows] == expected[k], k
+            assert k == 0 or all(type(row) is list for row in rows), k
+    finally:
+        # the tables built here hold lists, not arrays; later ones rebuild
+        character_table.cache_clear()
+
+
 def test_bounds_past_eight_bytes_pick_sixteen_byte_digits():
     assert [_digit_width(2**e - 1) for e in (7, 8, 15, 31, 63)] == [1, 2, 2, 4, 8]
     for bound in (2**63, 3**50, 2**126, 2**127 - 1):
@@ -231,6 +266,13 @@ def test_digit_width_is_the_fewest_bytes_that_hold_the_bound():
         bound = 2 * max(lam.length for lam in table.strict) * max(map(abs, entries))
         width = min(w for w in (1, 2, 4, 8) if 2 ** (8 * w - 1) > bound)
         assert {row.itemsize for row in table._rows} == {width}, k
+
+
+def test_both_character_views_check_the_sizes_alike():
+    lam, rho = StrictPartition((3,)), OddPartition((3, 1))
+    for view in (character, character_via_scalar):
+        with pytest.raises(ValueError, match=r"^size mismatch: \|lambda\|=3 but \|rho\|=4$"):
+            view(lam, rho)
 
 
 def test_character_table_checks_its_degree():
