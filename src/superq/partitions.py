@@ -21,10 +21,11 @@ sweep of ``skew_counts`` keys a shape by the set of its parts as one
 integer, mask = 1 + sum_i 2^{lambda_i}.  ``_strict_walk`` visits the strict
 partitions with sizes in a range [lo, hi] depth first on an explicit stack
 and grows g (by the hook formula) and the power sums a part at a time, so a
-prefix does its share once for every partition that extends it.  Every
-prefix is itself a strict partition, so one walk serves every size of the
-range.  ``g`` and ``g_skew`` still compute one shape at a time, and the
-tests check the walk and the sweep against them.
+prefix does its share once for every partition that extends it; the
+products of a prefix plan are made per shape yielded.  Every prefix is itself
+a strict partition, so one walk serves every size of the range.  ``g`` and
+``g_skew`` still compute one shape at a time, and the tests check the walk
+and the sweep against them.
 
 An odd partition is rho = rho~ u 1^{m_1(rho)}, and the filtration degree of
 fp_rho is deg1(rho) = |rho| + m_1(rho).  ``_ones_free`` (the parts of
@@ -438,10 +439,11 @@ def skew_counts(mu: StrictPartition, n: int) -> dict[tuple, int]:
     return {_mask_parts(mask): count for mask, count in layer.items()}
 
 
-def _strict_walk(lo: int, hi: int, powers: tuple):
-    """(|lam|, mask, l(lam), g(lam), (p_r(lam) for r in powers)) for every
-    strict lam with lo <= |lam| <= hi, with mask = _mask(lam.parts) as in
-    ``skew_counts``.
+def _strict_walk(lo: int, hi: int, powers: tuple, steps):
+    """(|lam|, mask, l(lam), g(lam), sums) for every strict lam with
+    lo <= |lam| <= hi, with mask = _mask(lam.parts) as in ``skew_counts``:
+    sums are p_r(lam) for r in powers, then sums[i] * sums[j] appended for
+    each step (i, j) in turn, the steps of ``plancherel._prefix_plan``.
 
     Depth first over the parts, largest first, on an explicit stack, so a
     prefix computes its share of the hook formula and of the power sums
@@ -452,7 +454,8 @@ def _strict_walk(lo: int, hi: int, powers: tuple):
     because the result is the g of the longer prefix.  Appending b also adds
     b^r to each p_r.  A prefix is yielded when its size is in range, and
     a part b is appended only if the parts b > b - 1 > ... > 1 can still
-    reach lo.
+    reach lo.  A shape's products go into a copy; the prefix keeps its
+    tuple of power sums for its children.
     """
     if lo < 0:
         raise ValueError("n must be nonnegative")
@@ -462,7 +465,12 @@ def _strict_walk(lo: int, hi: int, powers: tuple):
     while stack:
         parts, mask, size, count, sums = stack.pop()
         if size >= lo:
-            yield size, mask, len(parts), count, sums
+            out = sums
+            if steps:
+                out = [*sums]
+                for i, j in steps:
+                    out.append(out[i] * out[j])
+            yield size, mask, len(parts), count, out
             if size == hi:
                 continue
         need = 2 * (lo - size)
@@ -552,39 +560,34 @@ def falling(x, k: int):
     return out
 
 
-# The rows of the two Stirling matrices built so far, by index.  Each call
-# extends its map from the last row built, so rows 0..k cost about k^2
-# operations in all; setdefault keeps a row that another thread added first.
+# The rows of the two Stirling matrices built so far, by index, and their one
+# builder: row k of t(0, 0) = 1, t(i + 1, j) = t(i, j - 1) + weight(i, j) t(i, j).
+# Each call extends its map from the last row built, so rows 0..k cost about
+# k^2 operations in all; setdefault keeps a row that another thread added first.
 _STIRLING1_ROWS = {0: (1,)}
 _STIRLING2_ROWS = {0: (1,)}
 
 
-def _stirling1_row(k: int) -> tuple[int, ...]:
-    # s(k, j) for j = 0..k, the signed Stirling numbers of the first kind:
-    # the monomial coefficients (low to high) of n(n-1)...(n-k+1), by
-    # s(i + 1, j) = s(i, j - 1) - i s(i, j).
+def _triangle_row(rows: dict, k: int, weight) -> tuple[int, ...]:
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = _STIRLING1_ROWS
-    while k not in rows:
-        i = len(rows) - 1
-        row = rows[i]
-        rows.setdefault(i + 1, tuple(a - i * b for a, b in zip((0,) + row, row + (0,))))
-    return rows[k]
-
-
-def _stirling2_row(k: int) -> tuple[int, ...]:
-    # T(k, j) for j = 0..k, with T(0, 0) = 1: the falling-factorial
-    # coefficients of n^k, by T(i + 1, j) = T(i, j - 1) + j T(i, j).
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    rows = _STIRLING2_ROWS
     while k not in rows:
         i = len(rows) - 1
         row = rows[i]
         rows.setdefault(i + 1, tuple(
-            a + j * b for j, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
+            a + weight(i, j) * b for j, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
     return rows[k]
+
+
+def _stirling1_row(k: int) -> tuple[int, ...]:
+    # s(k, j) for j = 0..k, the signed Stirling numbers of the first kind:
+    # the monomial coefficients (low to high) of n(n-1)...(n-k+1); weight -i
+    return _triangle_row(_STIRLING1_ROWS, k, lambda i, j: -i)
+
+
+def _stirling2_row(k: int) -> tuple[int, ...]:
+    # T(k, j) for j = 0..k: the falling-factorial coefficients of n^k; weight j
+    return _triangle_row(_STIRLING2_ROWS, k, lambda i, j: j)
 
 
 def stirling2(k: int, j: int) -> int:

@@ -9,8 +9,8 @@ Brute-force averages run in integers, and E_n is the deformed average
 E_{mu,n} at mu = empty, so one body serves both.  f is written as
 (1/D) sum_mu a_mu p_mu with D the lcm of its coefficient denominators, and
 p_1, which is |lambda| = n + m on every shape summed over (m = |mu|), is
-folded into the coefficients: a_mu p_mu becomes a_mu |lambda|^{m_1(mu)}
-p_{mu~}.  Since the average is linear in f,
+folded into the coefficients by ``_fold``: a_mu p_mu becomes
+a_mu |lambda|^{m_1(mu)} p_{mu~}.  Since the average is linear in f,
 
     E_{mu,n}[f] = m! sum_nu a_nu M(mu, n, nu) / (D (n + m)! g(mu))
 
@@ -31,10 +31,10 @@ missing nu of its size in one walk.  A shape's monomials come from its
 power sums by a prefix plan (``_prefix_plan``), the one plan that serves
 the moments and the symbolic nodes below: a monomial of two or more parts,
 and each prefix of one, is the product of its prefix and one power sum, so
-it costs one multiply per shape, and a single-part monomial none.  The
-oracles stay: in the tests, the per-lambda sums of ``prob`` (or
-``prob_mu``) times ``f.evaluate(lambda)``, and for the sweep the
-corner-removal recursion.
+it costs one multiply per shape, and a single-part monomial none.  The walk
+makes those products as it yields each shape.  The oracles stay: in the
+tests, the per-lambda sums of ``prob`` (or ``prob_mu``) times
+``f.evaluate(lambda)``, and for the sweep the corner-removal recursion.
 
 Symbolic averages rest on the paper's polynomiality theorem: E_n[f] and
 E_{mu,n}[f] are polynomials in n of degree at most d = deg f.  So the exact
@@ -43,11 +43,11 @@ differences give the falling-factorial coefficients c_j = Delta^j E(0) / j!.
 One more value, at n = d + 1, is a check: Delta^{d+1} E(0) must vanish.
 All d + 2 nodes come from one walk, ``_weighted_shapes`` over n = 0..d + 1,
 in which every prefix is itself a shape of a smaller node: f is written in
-integers once per call, p_1 = n + m is folded in per node, and each shape
-adds to the total of its own node.  The prefix plan is made once per call,
-and the node's folded coefficients, laid out by its slots, meet a shape's
-monomials in one ``sum(map(mul, ...))``.  The node values stay integers:
-with S = D (d + 1 + m)! g(mu) / m!, S E(n) is the integer
+integers once per call, p_1 = n + m is folded in per node by ``_fold``
+into a row laid out by the plan's slots, and each shape adds to the total of
+its own node.  The prefix plan is made once per call, and the node's row
+meets a shape's monomials in one ``sum(map(mul, ...))``.  The node values
+stay integers: with S = D (d + 1 + m)! g(mu) / m!, S E(n) is the integer
 total_n (d + 1 + m)! / (n + m)!, so the Newton differences run on ints and
 each coefficient is one division by j! S.  These walks neither read nor
 fill the moments: through moments, each node would pay one multiply by the
@@ -69,6 +69,7 @@ n^(|mu|), and E_{mu,n} sends each frak_p(rho) of the frak-p expansion to
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from collections.abc import Mapping
 from itertools import islice
 from math import comb, factorial
@@ -274,28 +275,28 @@ def _integer_form(f) -> tuple[int, list[tuple[tuple, int, int]]]:
     return denom, out
 
 
-def _fold(terms, size: int) -> list[tuple[tuple, int]]:
-    """[(parts of mu~, a)] with sum a p_{mu~} equal to the sum of the terms
-    of ``_integer_form`` on every strict partition of ``size``.
-
-    p_1 is the size of every such partition, so a p_mu folds into
-    (a size^{m_1(mu)}) p_{mu~}; terms with the same mu~ are merged and zeros
-    dropped.
+def _fold(out, terms, size: int) -> None:
+    """Add a size^{m_1(mu)} into out[key] for each (key, m_1(mu), a) of
+    ``terms``: the one place p_1 is folded.  p_1 is the size of every
+    strict partition of ``size``, so a p_mu is (a size^{m_1(mu)}) p_{mu~}
+    there.  ``out`` is the caller's container, keyed as its terms are:
+    ``_bruteforce`` passes a ``defaultdict(int)`` keyed by the parts of
+    mu~, and ``_symbolic`` each node's row of coefficients, keyed by slot.
     """
-    folded: dict[tuple, int] = {}
-    for parts, ones, a in terms:
-        add_into(folded, parts, a * size**ones)
-    return list(folded.items())
+    for key, ones, a in terms:
+        out[key] += a * size**ones
 
 
-def _weighted_shapes(mu: StrictPartition, lo: int, hi: int, powers: tuple):
-    """(n, w_mu(lambda), (p_r(lambda) for r in powers)) for every strict
-    lambda of size n + |mu| that contains mu, lo <= n <= hi: the one place
-    the weight of the module docstring is computed.  At mu empty it is the
-    weight of E_n, with no sweep; otherwise the skew counts of the sizes
-    lo..hi share one dict, since a mask is one shape."""
+def _weighted_shapes(mu: StrictPartition, lo: int, hi: int, powers: tuple, steps):
+    """(n, w_mu(lambda), sums) for every strict lambda of size n + |mu| that
+    contains mu, lo <= n <= hi: the one place the weight of the module
+    docstring is computed.  ``sums`` are the slots of ``_strict_walk``:
+    p_r(lambda) for r in powers, then the products of the prefix plan's
+    ``steps``.  At mu empty it is the weight of E_n, with no sweep;
+    otherwise the skew counts of the sizes lo..hi share one dict, since a
+    mask is one shape."""
     m = mu.size
-    walk = _strict_walk(lo + m, hi + m, powers)
+    walk = _strict_walk(lo + m, hi + m, powers, steps)
     if not m:
         for n, _, length, count, sums in walk:
             yield n, count * count << (n - length), sums
@@ -312,9 +313,9 @@ def _weighted_shapes(mu: StrictPartition, lo: int, hi: int, powers: tuple):
 
 def _normalise(total: int, denom: int, mu: StrictPartition, n: int) -> Rat:
     # E_{mu,n} (E_n at mu empty) of the f whose integer form has denominator
-    # denom and whose weighted total at n is total; at mu empty g(mu) is 1
+    # denom and whose weighted total at n is total
     m = mu.size
-    return rat(total * factorial(m), denom * factorial(n + m) * (g(mu) if m else 1))
+    return rat(total * factorial(m), denom * factorial(n + m) * g(mu))
 
 
 # (mu.parts, n, nu) -> M(mu, n, nu), the integer moment of the module
@@ -332,11 +333,7 @@ def _moments(mu: StrictPartition, n: int, nus: list[tuple]) -> list[int]:
         powers, slot, steps = _prefix_plan(missing)
         places = [slot.get(nu) for nu in missing]
         totals = [0] * len(missing)
-        for _, weight, sums in _weighted_shapes(mu, n, n, powers):
-            if steps:
-                sums = [*sums]
-                for i, j in steps:
-                    sums.append(sums[i] * sums[j])
+        for _, weight, sums in _weighted_shapes(mu, n, n, powers, steps):
             for k, i in enumerate(places):
                 totals[k] += weight if i is None else weight * sums[i]
         for nu, total in zip(missing, totals):
@@ -350,7 +347,9 @@ def _bruteforce(f, mu: StrictPartition, n: int) -> Rat:
     if n < 0:
         raise ValueError("n must be nonnegative")
     denom, terms = _integer_form(f)
-    folded = _fold(terms, n + mu.size)
+    folded = defaultdict(int)
+    _fold(folded, terms, n + mu.size)
+    folded = [(nu, a) for nu, a in folded.items() if a]
     moments = _moments(mu, n, [nu for nu, _ in folded])
     total = sum(a * moment for (_, a), moment in zip(folded, moments))
     return _normalise(total, denom, mu, n)
@@ -428,11 +427,11 @@ def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
     """E_{mu,n}[f] (E_n at mu empty) interpolated from its values at the
     nodes n = 0..d + 1, d = deg f, all from one walk: each shape adds
     w_mu(lambda) sum_nu a_nu p_nu(lambda) to the total of its own node, with
-    the a_nu folded at that node (``_fold``).
+    the a_nu folded at that node by ``_fold`` into a row keyed by slot.
 
-    The p_nu of a shape come from its power sums by ``_prefix_plan``, and
-    the sum over nu is one ``sum(map(mul, ...))`` of the node's folded
-    coefficients, laid out by slot, started at the constant term.  With
+    The p_nu of a shape are the slots of ``_prefix_plan``, filled by the
+    walk, and the sum over nu is one ``sum(map(mul, ...))`` of that row,
+    started at the constant term.  With
     S = D (hi + m)! g(mu) / m!, hi = d + 1, node n's value times S is the
     integer total_n (hi + m)! / (n + m)!, so ``_interpolate`` runs in
     integers and divides once per coefficient."""
@@ -441,27 +440,22 @@ def _symbolic(f, mu: StrictPartition) -> PolynomialInN:
     m = mu.size
     denom, terms = _integer_form(f)
     powers, slot, steps = _prefix_plan([parts for parts, _, _ in terms])
-    # per node, the coefficients of f folded at that node (as ``_fold``)
-    # by slot, and one entry past the slots for the constant term
+    # per node, the coefficients of f folded at that node by slot, and one
+    # entry past the slots for the constant term
     placed = [(slot[parts] if parts else -1, ones, a) for parts, ones, a in terms]
     rows = []
     for n in range(hi + 1):
         row = [0] * (len(slot) + 1)
-        for i, ones, a in placed:
-            row[i] += a * (n + m)**ones
+        _fold(row, placed, n + m)
         rows.append(row)
     totals = [0] * (hi + 1)
     mul = operator.mul
-    for n, weight, sums in _weighted_shapes(mu, 0, hi, powers):
-        if steps:
-            sums = [*sums]
-            for i, j in steps:
-                sums.append(sums[i] * sums[j])
+    for n, weight, sums in _weighted_shapes(mu, 0, hi, powers, steps):
         row = rows[n]
         # map stops at the last slot, and the constant term starts the sum
         totals[n] += weight * sum(map(mul, row, sums), row[-1])
     top = factorial(hi + m)
-    scale = denom * (top // factorial(m)) * (g(mu) if m else 1)
+    scale = denom * (top // factorial(m)) * g(mu)
     return _interpolate([total * (top // factorial(n + m))
                          for n, total in enumerate(totals)], scale)
 

@@ -84,9 +84,19 @@ MUTANTS = [
      "steps.append((slot[nu[:1]],",
      "tests/test_cli.py::"
      "test_cli_goldens_of_symbolic_averages_with_multi_part_monomials"),
+    # the walk adding the two slots of a step instead of multiplying them
+    ("src/superq/partitions.py", "out.append(out[i] * out[j])",
+     "out.append(out[i] + out[j])",
+     "tests/test_partitions.py::test_walk_appends_the_products_of_its_steps"),
+    # the fold counting p_1 once more than the monomial has it
+    ("src/superq/plancherel.py", "a * size**ones", "a * size**(ones + 1)",
+     "tests/test_plancherel.py::test_fold_leaves_the_parts_above_1"),
+    # the Stirling triangle subtracting its weighted term instead of adding it
+    ("src/superq/partitions.py", "a + weight(i, j) * b", "a - weight(i, j) * b",
+     "tests/test_partitions.py::test_stirling2_entry_matches_the_row"),
     # the integer interpolation without g(mu) in its scale, or with the
     # falling factor (hi + m)!/(n + m)! of node n one step short
-    ("src/superq/plancherel.py", "(top // factorial(m)) * (g(mu) if m else 1)",
+    ("src/superq/plancherel.py", "(top // factorial(m)) * g(mu)",
      "(top // factorial(m))",
      "tests/test_plancherel.py::test_one_walk_equals_the_walk_per_node"),
     ("src/superq/plancherel.py", "total * (top // factorial(n + m))",

@@ -6,6 +6,7 @@ same functions behind ``superq verify``) and prints one PASS/FAIL line; any
 mismatch carries the failing detail in the assertion message.
 """
 
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -185,6 +186,44 @@ def test_parts_equal_to_1_are_linear_factors():
                 product = product * (p1 - (size + a) * GammaElement.one())
                 pairs += 1
     assert pairs == 70
+
+
+def _growth_steps(lam):
+    # (x, probability) for each strict Lambda that grows a row of length x
+    # of lam to x + 1, x = 0 starting a new part: 2^{1 - delta} g(Lambda) /
+    # ((|lam| + 1) g(lam)), delta = 1 when Lambda has one more part
+    parts = lam.parts
+    grown = [(x, parts[:i] + (x + 1,) + parts[i + 1:], 1)
+             for i, x in enumerate(parts) if i == 0 or parts[i - 1] > x + 1]
+    if not parts or parts[-1] > 1:
+        grown.append((0, parts + (1,), 0))
+    return [(x, Fraction(2**shift * g(StrictPartition(big)), (lam.size + 1) * g(lam)))
+            for x, big, shift in grown]
+
+
+def test_the_growth_step_is_a_measure_with_the_phi_series_moments():
+    # for every strict lam with |lam| <= 20, the steps' probabilities sum
+    # to 1, and E[y^i | lam], y = x(x + 1) with x the content of the new
+    # box, is the u^i coefficient of prod (1 - a(a-1)u) / (1 - a(a+1)u)
+    # over the parts a of lam, for i <= 6
+    shapes = 0
+    for size in range(21):
+        for lam in enumerate_strict(size):
+            steps = _growth_steps(lam)
+            assert sum(chance for _, chance in steps) == 1, lam
+            series = [1] + [0] * 6
+            for a in lam.parts:
+                for i in range(1, 7):  # times 1 / (1 - a(a+1)u)
+                    series[i] += a * (a + 1) * series[i - 1]
+                for i in range(6, 0, -1):  # times (1 - a(a-1)u)
+                    series[i] -= a * (a - 1) * series[i - 1]
+            moments = [sum(chance * (x * (x + 1))**i for x, chance in steps)
+                       for i in range(7)]
+            assert moments == series, lam
+            p1, p3 = size, sum(a**3 for a in lam.parts)
+            assert moments[1:3] == [2 * p1, 2 * p3 + 2 * p1**2], lam
+            shapes += 1
+    assert shapes == 371
 
 
 def _plus_one(route):

@@ -345,11 +345,11 @@ def test_walk_equals_enumeration_with_hook_formula():
         want = sorted((n, _mask(lam.parts), lam.length, g(lam),
                        tuple(sum(part**r for part in lam) for r in powers))
                       for lam in enumerate_strict(n))
-        assert sorted(_strict_walk(n, n, powers)) == want
-    assert set(_strict_walk(4, 4, ())) == {(4, _mask((3, 1)), 2, 2, ()),
+        assert sorted(_strict_walk(n, n, powers, ())) == want
+    assert set(_strict_walk(4, 4, (), ())) == {(4, _mask((3, 1)), 2, 2, ()),
                                            (4, _mask((4,)), 1, 1, ())}
     with pytest.raises(ValueError):
-        list(_strict_walk(-1, -1, ()))
+        list(_strict_walk(-1, -1, (), ()))
 
 
 def test_walk_over_a_size_range_equals_the_single_size_walks():
@@ -358,8 +358,22 @@ def test_walk_over_a_size_range_equals_the_single_size_walks():
     for hi in range(21):
         for lo in range(hi + 1):
             want = sorted(shape for n in range(lo, hi + 1)
-                          for shape in _strict_walk(n, n, powers))
-            assert sorted(_strict_walk(lo, hi, powers)) == want, (lo, hi)
+                          for shape in _strict_walk(n, n, powers, ()))
+            assert sorted(_strict_walk(lo, hi, powers, ())) == want, (lo, hi)
+
+
+def test_walk_appends_the_products_of_its_steps():
+    # step (i, j) appends sums[i] * sums[j], and a later step reads an
+    # earlier product: p_3, p_5, then p_3 p_5, p_3 p_5^2 and p_3^2; over a
+    # range each prefix keeps its own power sums for the shapes below it
+    powers, steps = (3, 5), [(0, 1), (2, 1), (0, 0)]
+    want = []
+    for n in range(16):
+        for lam in enumerate_strict(n):
+            p3, p5 = (sum(part**r for part in lam) for r in powers)
+            want.append((n, _mask(lam.parts), lam.length, g(lam),
+                         [p3, p5, p3 * p5, p3 * p5 * p5, p3 * p3]))
+    assert sorted(_strict_walk(0, 15, powers, steps)) == sorted(want)
 
 
 def test_skew_sweep_from_empty_equals_hook_formula():

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from math import factorial
 
 import pytest
@@ -272,8 +273,10 @@ def test_fold_leaves_the_parts_above_1():
     denom, terms = _integer_form(f)
     # p_(1^k) -> 10^k, p_(3,1^k) -> 10^k p_3, p_(5,1) -> 10 p_5, p_(3,3)
     assert denom == 1
-    assert dict(_fold(terms, 10)) == {(): 10 + 100 + 1000 + 10**4 + 10**5 + 10**6,
-                           (3,): 1 + 10 + 100 + 1000, (5,): 1 + 10, (3, 3): 1}
+    folded = defaultdict(int)
+    _fold(folded, terms, 10)
+    assert folded == {(): 10 + 100 + 1000 + 10**4 + 10**5 + 10**6,
+                      (3,): 1 + 10 + 100 + 1000, (5,): 1 + 10, (3, 3): 1}
 
 
 def test_large_measure_normalization():
@@ -322,9 +325,9 @@ def walks(monkeypatch):
     seen = []
     walk = plancherel._strict_walk
 
-    def counted(lo, hi, powers):
+    def counted(lo, hi, powers, steps):
         seen.append((lo, hi, powers))
-        return walk(lo, hi, powers)
+        return walk(lo, hi, powers, steps)
 
     monkeypatch.setattr(plancherel, "_strict_walk", counted)
     return seen
@@ -405,7 +408,7 @@ def test_weighted_shapes_yield_each_shape_once_with_its_weight():
                         want[n].append((n, weight, sums))
                 assert want[n]
             for lo, hi in [(n, n) for n in range(9)] + [(0, 8), (3, 6)]:
-                got = list(plancherel._weighted_shapes(mu, lo, hi, powers))
+                got = list(plancherel._weighted_shapes(mu, lo, hi, powers, ()))
                 assert all(type(weight) is int for _, weight, _ in got)
                 assert sorted(got) == sorted(s for n in range(lo, hi + 1)
                                              for s in want[n]), (mu, lo, hi)
@@ -498,8 +501,8 @@ def test_a_bad_node_names_the_unscaled_difference(monkeypatch, mu):
     mu = StrictPartition(mu)
     walk = plancherel._weighted_shapes
 
-    def with_a_bad_node(mu, lo, hi, powers):
-        yield from walk(mu, lo, hi, powers)
+    def with_a_bad_node(mu, lo, hi, powers, steps):
+        yield from walk(mu, lo, hi, powers, steps)
         yield hi, 1, (5,)
 
     monkeypatch.setattr(plancherel, "_weighted_shapes", with_a_bad_node)
